@@ -31,7 +31,6 @@ from .metaplectic import (
     multiply,
     parse_meta_word,
     szpiro_check,
-    validate,
 )
 from .presentations import (
     AbelianInvariants,

@@ -12,13 +12,7 @@ import sys
 from .errors import SchemaError, TwistlabError, ZeroCharacter
 from .exact import IntMatrix, rank_over_rationals
 from .invariants import invariant_report
-from .metaplectic import (
-    MetaElement,
-    boundary_multiplicity,
-    evaluate_meta_word,
-    parse_meta_word,
-    szpiro_check,
-)
+from .metaplectic import central_multiplicity, evaluate_meta_word, parse_meta_word, szpiro_report
 from .presentations import (
     SurfaceGroup,
     abelianize,
@@ -131,13 +125,14 @@ def cmd_metaplectic(args) -> int:
     from .words import is_positive
 
     if is_positive(word):
-        res = boundary_multiplicity(word)
-        if isinstance(res, MetaElement):
+        # centrality, n and the Szpiro data all come from the one evaluation
+        n = central_multiplicity(value)
+        if n is None:
             payload["central"] = False
-            payload["residual"] = {"matrix": [list(r) for r in res.matrix], "n": res.n}
+            payload["residual"] = {"matrix": payload["matrix"], "n": value.n}
             _emit(payload, args.json)
             return E_VERIFY
-        rep = szpiro_check(word)
+        rep = szpiro_report(word, n)
         payload.update(
             central=True,
             boundary_multiplicity=rep.n,

@@ -24,7 +24,7 @@ from .errors import (
     SignatureUnknown,
 )
 from .exact import IntMatrix, smith_normal_form
-from .metaplectic import MetaElement, boundary_multiplicity
+from .metaplectic import MetaElement, boundary_multiplicity, szpiro_report
 from .presentations import (
     AbelianInvariants,
     FinitePresentation,
@@ -33,7 +33,7 @@ from .presentations import (
     quotient_by_normal_closure,
 )
 from .surfaces import Curve, is_symplectic
-from .words import TwistWord, evaluate_homological, is_positive
+from .words import TwistWord, _sp_inverse, evaluate_homological, is_positive
 
 RELATION_CAVEAT = (
     "relation verified homologically; mapping-class-group identity assumed as input"
@@ -93,16 +93,9 @@ class Factorization:
                 return m.is_identity(), m
             raise MissingCommutatorData("base genus > 0 needs commutator data")
         for x, y in self.commutator_part:
-            target = target * (x * y * _inv(x) * _inv(y))
-        residual = m * _inv(target)
+            target = target * (x * y * _sp_inverse(x) * _sp_inverse(y))
+        residual = m * _sp_inverse(target)
         return residual.is_identity(), residual
-
-
-def _inv(m: IntMatrix) -> IntMatrix:
-    from .surfaces import symplectic_j
-
-    j = symplectic_j(m.rows // 2)
-    return (-j) * m.transpose() * j
 
 
 def mu(f: Factorization) -> int:
@@ -146,21 +139,26 @@ def h1_total_space(f: Factorization) -> AbelianInvariants:
     return AbelianInvariants(free_rank=g2 - snf.rank, torsion=torsion)
 
 
+def _boundary_case(f: Factorization) -> bool:
+    """Fiber genus one with only non-separating vanishing cycles, the case
+    whose signature comes from the metaplectic boundary multiplicity."""
+    cycles = [f.curve(n) for n in f.word.curves_used()]
+    return f.fiber_genus == 1 and bool(cycles) and not any(c.separating for c in cycles)
+
+
 def signature(f: Factorization, external: Optional[int] = None) -> Tuple[Optional[int], str]:
     """(value, provenance), provenance one of computed/external/unknown.
 
-    Computed cases: all vanishing cycles null-homologous (sign = -mu), or
-    fiber genus one with non-separating cycles (sign = 4n - mu via the
-    metaplectic boundary multiplicity)."""
+    Computed cases: all vanishing cycles null-homologous (sign = -mu; 0 for
+    the smooth product fibration), or fiber genus one with non-separating
+    cycles (sign = 4n - mu via the metaplectic boundary multiplicity n, which
+    one evaluation of the word gives)."""
     if not is_positive(f.word):
         raise NotPositive("signature formulas assume a positive factorization")
     m = f.word.total_exponent()
-    cycles = [f.curve(n) for n in f.word.curves_used()]
-    if not cycles:
-        return 0, "computed"  # smooth product fibration
-    if all(c.separating for c in cycles):
+    if all(f.curve(n).separating for n in f.word.curves_used()):
         return -m, "computed"
-    if f.fiber_genus == 1 and cycles and all(not c.separating for c in cycles):
+    if _boundary_case(f):
         res = boundary_multiplicity(f.word)
         if isinstance(res, MetaElement):
             raise NotCentral(res)
@@ -173,10 +171,14 @@ def signature(f: Factorization, external: Optional[int] = None) -> Tuple[Optiona
 def hodge_pairing(f: Factorization, external_signature: Optional[int] = None) -> Fraction:
     """lambda = (sign + mu)/4; raises when the signature is unknown and
     reports non-integer values as an inconsistency."""
-    sign, prov = signature(f, external_signature)
+    sign, _ = signature(f, external_signature)
     if sign is None:
         raise SignatureUnknown("hodge pairing needs a signature")
-    lam = Fraction(sign + f.word.total_exponent(), 4)
+    return _lambda(sign, f.word.total_exponent())
+
+
+def _lambda(sign: int, m: int) -> Fraction:
+    lam = Fraction(sign + m, 4)
     if lam.denominator != 1:
         raise SchemaError(f"non-integer hodge pairing {lam}: inconsistent input")
     return lam
@@ -197,9 +199,19 @@ def torelli_certificate(f: Factorization) -> TorelliReport:
         raise SchemaError("certificate applies to sphere-base factorizations")
     if not f.word.letters or not is_positive(f.word):
         raise NotPositive("certificate needs a nonempty positive word")
+    try:
+        sign, _ = signature(f)
+    except NotCentral:
+        sign = None
+    return _torelli(f, sign)
+
+
+def _torelli(f: Factorization, sign: Optional[int]) -> TorelliReport:
+    """The certificate of a nonempty positive sphere-base word, given its
+    signature when computed (None otherwise)."""
     cycles = [f.curve(n) for n in f.word.curves_used()]
+    m = f.word.total_exponent()
     if all(c.separating for c in cycles):
-        m = f.word.total_exponent()
         return TorelliReport(
             ok=False,
             reason=(
@@ -208,15 +220,8 @@ def torelli_certificate(f: Factorization) -> TorelliReport:
                 "but a genuine fibration forces it positive"
             ),
         )
-    sign, prov = None, "unknown"
-    try:
-        sign, prov = signature(f)
-    except NotCentral:
-        pass
-    if sign is not None and sign + f.word.total_exponent() <= 0:
-        return TorelliReport(
-            ok=False, reason=f"sign + mu = {sign + f.word.total_exponent()} <= 0"
-        )
+    if sign is not None and sign + m <= 0:
+        return TorelliReport(ok=False, reason=f"sign + mu = {sign + m} <= 0")
     return TorelliReport(ok=True, reason="contains a non-separating vanishing cycle")
 
 
@@ -233,7 +238,11 @@ def liu_bound_report(f: Factorization, external_signature: Optional[int] = None)
         lam = hodge_pairing(f, external_signature)
     except SignatureUnknown as ex:
         raise LambdaUnknown(str(ex))
-    bound = Fraction(4 * f.fiber_genus - 5, 6)
+    return _liu(lam, f.fiber_genus)
+
+
+def _liu(lam: Fraction, fiber_genus: int) -> LiuBound:
+    bound = Fraction(4 * fiber_genus - 5, 6)
     return LiuBound(lam=lam, bound=bound, passes=lam > bound)
 
 
@@ -360,24 +369,20 @@ def invariant_report(
     if b1 is None:
         raise SchemaError("full reports implemented for base genus 0")
     b2 = euler - 2 + 2 * b1
+    # the only metaplectic evaluation of the report: in the boundary case
+    # sign = 4n - mu, so lambda = n and the Szpiro data follow from it
     sign, prov = signature(f, external_signature)
     lam = None
     c1sq = None
     liu_status = "lambda unknown"
     if sign is not None:
-        lam = Fraction(sign + m, 4)
-        if lam.denominator != 1:
-            raise SchemaError(f"non-integer hodge pairing {lam}")
+        lam = _lambda(sign, m)
         c1sq = 2 * euler + 3 * sign
-        bound = Fraction(4 * f.fiber_genus - 5, 6)
-        liu_status = f"{lam} > {bound}: {'pass' if lam > bound else 'FAIL'}"
+        liu = _liu(lam, f.fiber_genus)
+        liu_status = f"{liu.lam} > {liu.bound}: {'pass' if liu.passes else 'FAIL'}"
     szp = None
-    if f.fiber_genus == 1 and prov == "computed" and not all(
-        f.curve(n).separating for n in f.word.curves_used()
-    ):
-        from .metaplectic import szpiro_check
-
-        rep = szpiro_check(f.word)
+    if _boundary_case(f):
+        rep = szpiro_report(f.word, int(lam))
         szp = {
             "n": rep.n,
             "sum_exponents": rep.sum_exponents,
@@ -386,10 +391,10 @@ def invariant_report(
             "passes": rep.passes,
         }
     if f.word.letters:
-        tor = torelli_certificate(f)
+        # an external signature is an assertion, not a certificate input
+        tor = _torelli(f, sign if prov == "computed" else None)
     else:
         tor = TorelliReport(ok=True, reason="empty word: certificate not applicable")
-    note = "pinned sphere-base formula" if f.base_genus == 0 else "product-plus-mu extension"
     return InvariantReport(
         mu=m,
         euler=euler,
@@ -404,5 +409,5 @@ def invariant_report(
         torelli_reason=tor.reason,
         liu_status=liu_status,
         relation_verified=ok,
-        euler_note=note,
+        euler_note="pinned sphere-base formula",
     )

@@ -9,7 +9,18 @@ reference Lagrangian l0 = span(p).
 Lagrangian lines are primitive integer vectors up to sign; every order and
 betweenness computation is an exact sign of a 2x2 determinant.  The Maslov
 index is computed both by the cyclic-order rule and as the signature of the
-associated quadratic form; the two routes are cross-checked on every call.
+associated quadratic form.
+
+There are two implementations of the group law.  The ``MetaElement`` law
+(``multiply``, ``meta_inverse``, ``cocycle``, ``act_tilde_lambda``) goes
+through ``maslov_index``, which cross-checks the two routes on every call, so
+every reported value (word evaluations, boundary multiplicities, Szpiro
+data, signatures) is computed with the check on.  The raw-tuple law used only
+by the positivity search (``conjugates_of_t_a``, ``search_positive_identity``)
+applies the cyclic rule alone: the Fraction signature is almost all of the
+cost of a group operation, and the search applies the law to every state it
+reaches.  Both laws share one cyclic rule (``_cyclic_tau``) and one line
+normaliser (``_norm_line``).
 """
 from __future__ import annotations
 
@@ -45,6 +56,16 @@ def mat_apply(x: Mat2, v: Tuple[int, int]) -> Tuple[int, int]:
     return (x[0][0] * v[0] + x[0][1] * v[1], x[1][0] * v[0] + x[1][1] * v[1])
 
 
+def _norm_line(x: int, y: int) -> Tuple[int, int]:
+    """Primitive representative of the line through a nonzero (x, y): second
+    coordinate positive, or zero with the first positive."""
+    g = math.gcd(abs(x), abs(y))
+    x, y = x // g, y // g
+    if y < 0 or (y == 0 and x < 0):
+        x, y = -x, -y
+    return (x, y)
+
+
 @dataclass(frozen=True)
 class LagrangianLine:
     """Line through the origin, a primitive vector up to overall sign.
@@ -58,11 +79,7 @@ class LagrangianLine:
         x, y = (int(v) for v in self.vector)
         if x == 0 and y == 0:
             raise SchemaError("zero vector is not a line")
-        g = math.gcd(abs(x), abs(y))
-        x, y = x // g, y // g
-        if y < 0 or (y == 0 and x < 0):
-            x, y = -x, -y
-        object.__setattr__(self, "vector", (x, y))
+        object.__setattr__(self, "vector", _norm_line(x, y))
 
     def apply(self, m: Mat2) -> "LagrangianLine":
         return LagrangianLine(mat_apply(m, self.vector))
@@ -88,19 +105,21 @@ LINE_P = LagrangianLine((1, 0))
 LINE_Q = LagrangianLine((0, 1))
 
 
-def _maslov_cyclic(l1: LagrangianLine, l2: LagrangianLine, l3: LagrangianLine) -> int:
-    if l1 == l2 or l2 == l3 or l1 == l3:
+def _cyclic_tau(v1: Tuple[int, int], v2: Tuple[int, int], v3: Tuple[int, int]) -> int:
+    """Cyclic-order Maslov rule on normalised line vectors."""
+    if v1 == v2 or v2 == v3 or v1 == v3:
         return 0
-    # +1 iff l2 lies strictly between l1 and l3 in the counterclockwise
+    # +1 iff v2 lies strictly between v1 and v3 in the counterclockwise
     # cyclic order on theta in [0, pi)
-    a12 = l1.angle_lt(l2)
-    a13 = l1.angle_lt(l3)
-    a23 = l2.angle_lt(l3)
-    if a13:
-        between = a12 and a23
-    else:
-        between = a12 or a23
+    a12 = v1[0] * v2[1] - v1[1] * v2[0] > 0
+    a13 = v1[0] * v3[1] - v1[1] * v3[0] > 0
+    a23 = v2[0] * v3[1] - v2[1] * v3[0] > 0
+    between = (a12 and a23) if a13 else (a12 or a23)
     return 1 if between else -1
+
+
+def _maslov_cyclic(l1: LagrangianLine, l2: LagrangianLine, l3: LagrangianLine) -> int:
+    return _cyclic_tau(l1.vector, l2.vector, l3.vector)
 
 
 def _maslov_signature(l1: LagrangianLine, l2: LagrangianLine, l3: LagrangianLine) -> int:
@@ -197,10 +216,6 @@ def _sign(x: int) -> int:
     return 1 if x > 0 else (-1 if x < 0 else 0)
 
 
-def validate(x: MetaElement) -> bool:
-    return x.is_valid()
-
-
 def multiply(x: MetaElement, y: MetaElement) -> MetaElement:
     if not x.is_valid() or not y.is_valid():
         raise InvalidElement("operand fails the membership predicate")
@@ -218,12 +233,17 @@ def meta_inverse(x: MetaElement) -> MetaElement:
 
 
 def meta_power(x: MetaElement, e: int) -> MetaElement:
+    """x^e by square-and-multiply; x^1 costs no multiplication."""
     if e < 0:
         return meta_power(meta_inverse(x), -e)
-    acc = meta_identity()
-    for _ in range(e):
-        acc = multiply(acc, x)
-    return acc
+    acc = None
+    while e:
+        if e & 1:
+            acc = x if acc is None else multiply(acc, x)
+        e >>= 1
+        if e:
+            x = multiply(x, x)
+    return meta_identity() if acc is None else acc
 
 
 def lift_generators(k: int = 0) -> Tuple[MetaElement, MetaElement, MetaElement]:
@@ -295,6 +315,13 @@ def evaluate_meta_word(word) -> MetaElement:
     return acc
 
 
+def central_multiplicity(value: MetaElement) -> Optional[int]:
+    """n when the value is the central element (I, 4n), else None."""
+    if value.matrix == IDENTITY and value.n % 4 == 0:
+        return value.n // 4
+    return None
+
+
 def boundary_multiplicity(word) -> Union[int, MetaElement]:
     """n when the word evaluates to the central element (I, 4n); otherwise
     the residual element (a normal outcome, not a fault)."""
@@ -303,9 +330,8 @@ def boundary_multiplicity(word) -> Union[int, MetaElement]:
     if not is_positive(word):
         raise NotPositive("boundary multiplicity requires a positive word")
     val = evaluate_meta_word(word)
-    if val.matrix == IDENTITY and val.n % 4 == 0:
-        return val.n // 4
-    return val
+    n = central_multiplicity(val)
+    return val if n is None else n
 
 
 @dataclass(frozen=True)
@@ -323,13 +349,18 @@ class SzpiroReport:
 
 
 def szpiro_check(word) -> SzpiroReport:
-    """Checks sum(n_i) = 12 n and m > 2 n for a positive relation evaluating
-    to the n-th power of the boundary twist; the section self-intersection is
-    -n."""
+    """Szpiro report of a positive word, which must evaluate to a central
+    element."""
     res = boundary_multiplicity(word)
     if isinstance(res, MetaElement):
         raise NotCentral(res)
-    n = res
+    return szpiro_report(word, res)
+
+
+def szpiro_report(word, n: int) -> SzpiroReport:
+    """Checks sum(n_i) = 12 n and m > 2 n for a positive relation evaluating
+    to the n-th power (I, 4n) of the boundary twist; the section
+    self-intersection is -n."""
     total = word.total_exponent()
     syllables = len(word.letters)
     return SzpiroReport(
@@ -379,9 +410,6 @@ class TildeLambdaPoint:
         if f is None:
             return None
         return f - self.pi_steps()
-
-    def theta_float(self) -> float:
-        return self.line.angle_float() - self.pi_steps() * math.pi
 
 
 def act_tilde_lambda(x: MetaElement, pt: TildeLambdaPoint) -> TildeLambdaPoint:
@@ -470,36 +498,26 @@ def displacement(x: MetaElement, pt: TildeLambdaPoint) -> Displacement:
 # ---------------------------------------------------------------------------
 # positivity search (no positive word in conjugates of t_a is the identity)
 #
-# Bulk state-space work uses a raw-tuple fast path with the cyclic-order
-# Maslov rule only; its agreement with the signature route is property-tested
-# exhaustively elsewhere.
+# Bulk state-space work uses the raw-tuple law below: (matrix, n) pairs with
+# the cyclic-order Maslov rule only and no membership check.  The Fraction
+# signature cross-check that ``maslov_index`` runs would dominate the cost of
+# every visited state, so it is left to the MetaElement law.  The test suite
+# checks that the two routes agree on every line triple the cocycle produces
+# over short words in A, B and J.
 
 
 def _fast_tau(g: Mat2, h: Mat2) -> int:
-    gh = mat_mul(g, h)
-    l1 = (1, 0)
-    l2 = _norm_line(g[0][0], g[1][0])
-    l3 = _norm_line(gh[0][0], gh[1][0])
-    if l1 == l2 or l2 == l3 or l1 == l3:
-        return 0
-    a12 = l1[0] * l2[1] - l1[1] * l2[0] > 0
-    a13 = l1[0] * l3[1] - l1[1] * l3[0] > 0
-    a23 = l2[0] * l3[1] - l2[1] * l3[0] > 0
-    between = (a12 and a23) if a13 else (a12 or a23)
-    return 1 if between else -1
+    return _tau_from(g, mat_mul(g, h))
 
 
-def _norm_line(x: int, y: int) -> Tuple[int, int]:
-    g = math.gcd(abs(x), abs(y))
-    x, y = x // g, y // g
-    if y < 0 or (y == 0 and x < 0):
-        x, y = -x, -y
-    return (x, y)
+def _tau_from(g: Mat2, gh: Mat2) -> int:
+    """tau(l0, g l0, gh l0) for l0 = span(p), from g and the product gh."""
+    return _cyclic_tau((1, 0), _norm_line(g[0][0], g[1][0]), _norm_line(gh[0][0], gh[1][0]))
 
 
 def _fast_mul(x, y):
     g = mat_mul(x[0], y[0])
-    return (g, x[1] + y[1] + _fast_tau(x[0], y[0]))
+    return (g, x[1] + y[1] + _tau_from(x[0], g))
 
 
 def _fast_inv(x):

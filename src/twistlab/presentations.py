@@ -5,6 +5,7 @@ Words are tuples of nonzero signed integers: +k is the k-th generator
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
@@ -151,48 +152,31 @@ def commutator_defect(p: FinitePresentation, word: Sequence[int]) -> tuple:
     by one per free factor.  All zero means the word lies in the kernel of the
     abelianization map, i.e. its class is killed modulo the derived subgroup.
     """
-    if not p.relators:
-        return exponent_vector(word, p.rank)
-    a = p.relator_matrix().transpose()  # columns span the relation lattice
-    snf = smith_normal_form(a)
-    y = snf.left.apply(exponent_vector(word, p.rank))
-    out = []
-    for i, yi in enumerate(y):
-        if i < snf.rank:
-            d = snf.diagonal[i]
-            if d > 1:
-                out.append(yi % d)
-            # d == 1: coordinate dies in the quotient
-        else:
-            out.append(yi)
-    return tuple(out)
+    # d == 1: the coordinate dies in the quotient
+    return tuple(y if d == 0 else y % d for d, y in _smith_coordinates(p, word) if d != 1)
 
 
 def defect_order(p: FinitePresentation, word: Sequence[int]) -> Optional[int]:
     """Order of the word's class in the abelianization (None = infinite)."""
-    if not p.relators:
-        v = exponent_vector(word, p.rank)
-        return 1 if all(x == 0 for x in v) else None
-    a = p.relator_matrix().transpose()
-    snf = smith_normal_form(a)
-    y = snf.left.apply(exponent_vector(word, p.rank))
     order = 1
-    for i, yi in enumerate(y):
-        if i < snf.rank:
-            d = snf.diagonal[i]
-            r = yi % d if d > 1 else 0
-            if r:
-                g = d // _gcd(r, d)
-                order = order * g // _gcd(order, g)
-        elif yi != 0:
-            return None
+    for d, y in _smith_coordinates(p, word):
+        if d == 0:
+            if y != 0:
+                return None
+        elif y % d:
+            order = math.lcm(order, d // math.gcd(y, d))
     return order
 
 
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return abs(a)
+def _smith_coordinates(p: FinitePresentation, word: Sequence[int]) -> List[Tuple[int, int]]:
+    """(d, y) for each Smith coordinate y of the word's exponent vector: d is
+    the invariant factor of a relation coordinate, 0 for a free one."""
+    v = exponent_vector(word, p.rank)
+    if not p.relators:
+        return [(0, x) for x in v]
+    snf = smith_normal_form(p.relator_matrix().transpose())  # columns span the relations
+    y = snf.left.apply(v)
+    return [(snf.diagonal[i] if i < snf.rank else 0, yi) for i, yi in enumerate(y)]
 
 
 # ---------------------------------------------------------------------------
@@ -266,27 +250,8 @@ class DoubleCover:
 
     def rewrite(self, word: Sequence[int], start_coset: int = 0) -> Word:
         """Schreier rewriting of a closed walk based at the given coset."""
-        gid = {}
-        for k, (u, x) in enumerate(self.schreier_gens):
-            gid[(u, x)] = k + 1
-        t = self.transversal_gen
-        u = start_coset
-        out: List[int] = []
-        for x in word:
-            cx = self.character[abs(x) - 1]
-            if x > 0:
-                g = gid.get((u, x), 0)
-                if g:
-                    out.append(g)
-                u ^= cx
-            else:
-                u ^= cx
-                g = gid.get((u, -x), 0)
-                if g:
-                    out.append(-g)
-        if u != start_coset:
-            raise SchemaError("word does not define a closed walk at this coset")
-        return free_reduce(out)
+        gid = {ux: k + 1 for k, ux in enumerate(self.schreier_gens)}
+        return _schreier_rewrite(word, start_coset, self.character, gid)
 
     def class_of(self, schreier_word: Sequence[int]) -> tuple:
         """Homology class in H1(cover) coordinates."""
@@ -338,6 +303,31 @@ class DoubleCover:
         return proj * self._left * deck_full * section
 
 
+def _schreier_rewrite(
+    word: Sequence[int], start: int, chi: Sequence[int], gid: dict
+) -> Word:
+    """Schreier rewriting of a closed walk based at coset ``start``; ``gid``
+    numbers the Schreier generators (coset, base generator) from 1, and the
+    dropped tree generator is absent from it."""
+    u = start
+    out: List[int] = []
+    for x in word:
+        cx = chi[abs(x) - 1]
+        if x > 0:
+            g = gid.get((u, x), 0)
+            if g:
+                out.append(g)
+            u ^= cx
+        else:
+            u ^= cx
+            g = gid.get((u, -x), 0)
+            if g:
+                out.append(-g)
+    if u != start:
+        raise SchemaError("word does not define a closed walk at this coset")
+    return free_reduce(out)
+
+
 def reidemeister_schreier_double_cover(
     s: SurfaceGroup, chi: Sequence[int]
 ) -> DoubleCover:
@@ -357,27 +347,8 @@ def reidemeister_schreier_double_cover(
             gens.append((u, x))
     names = tuple(f"{s.generator_names[x - 1]}^({u})" for (u, x) in gens)
     gid = {ux: k + 1 for k, ux in enumerate(gens)}
-
-    def rewrite(word, start):
-        u = start
-        out: List[int] = []
-        for x in word:
-            cx = chi[abs(x) - 1]
-            if x > 0:
-                g = gid.get((u, x), 0)
-                if g:
-                    out.append(g)
-                u ^= cx
-            else:
-                u ^= cx
-                g = gid.get((u, -x), 0)
-                if g:
-                    out.append(-g)
-        assert u == start
-        return free_reduce(out)
-
     r = s.relator()
-    relators = (rewrite(r, 0), rewrite(r, 1))
+    relators = (_schreier_rewrite(r, 0, chi, gid), _schreier_rewrite(r, 1, chi, gid))
     pres = FinitePresentation(names, relators)
 
     # quotient coordinates for H1(cover) = Z^N / relator lattice

@@ -18,11 +18,10 @@ from .presentations import exponent_vector, free_reduce
 @dataclass(frozen=True)
 class SurfaceData:
     genus: int
-    punctures: int = 0
 
     def __post_init__(self):
-        if self.genus < 0 or self.punctures < 0:
-            raise SchemaError("negative genus or puncture count")
+        if self.genus < 0:
+            raise SchemaError("negative genus")
 
 
 @dataclass(frozen=True)

@@ -32,7 +32,6 @@ from twistlab.metaplectic import (
     parse_meta_word,
     search_positive_identity,
     szpiro_check,
-    validate,
     _maslov_cyclic,
     _maslov_signature,
 )
@@ -153,14 +152,14 @@ class TestCocycle:
 
 class TestMembership:
     def test_examples(self):
-        assert validate(MetaElement(A_MATRIX, 0))
-        assert not validate(MetaElement(A_MATRIX, 2))
-        assert validate(MetaElement(B_MATRIX, 1))
+        assert MetaElement(A_MATRIX, 0).is_valid()
+        assert not MetaElement(A_MATRIX, 2).is_valid()
+        assert MetaElement(B_MATRIX, 1).is_valid()
 
     def test_kernel_characterization(self):
         # central elements are exactly (I, 4k)
         for n in range(-8, 9):
-            ok = validate(MetaElement(IDENTITY, n))
+            ok = MetaElement(IDENTITY, n).is_valid()
             assert ok == (n % 4 == 0)
 
     def test_multiply_rejects_invalid(self):
@@ -201,10 +200,10 @@ class TestGroupLaw:
         for x in elems:
             assert multiply(x, e) == x == multiply(e, x)
             assert multiply(x, meta_inverse(x)) == e
-            assert validate(x)
+            assert x.is_valid()
         for x in elems:
             for y in elems:
-                assert validate(multiply(x, y))
+                assert multiply(x, y).is_valid()
                 for z in elems:
                     assert multiply(multiply(x, y), z) == multiply(x, multiply(y, z))
 
@@ -224,7 +223,7 @@ class TestMetaWords:
     def test_meta_twist_general_class(self):
         # twist about the (1,1)-curve is a conjugate of the a-twist
         t = meta_twist((1, 1))
-        assert validate(t)
+        assert t.is_valid()
         tr = t.matrix[0][0] + t.matrix[1][1]
         assert tr == 2  # parabolic
 

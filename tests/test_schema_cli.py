@@ -1,4 +1,5 @@
 import json
+import sys
 
 import pytest
 
@@ -250,3 +251,51 @@ class TestCli:
         assert main(["fixtures", "--json"]) == 0
         out = json.loads(capsys.readouterr().out)
         assert set(out["fixtures"]) == set(FIXTURE_NAMES)
+
+
+class TestOneEvaluation:
+    """Each genus-1 command evaluates its word in the metaplectic group once,
+    with the Maslov cross-check on."""
+
+    @staticmethod
+    def count_evaluations(monkeypatch):
+        import twistlab.metaplectic as meta
+
+        original = meta.evaluate_meta_word
+        calls = []
+
+        def counted(word):
+            calls.append(word)
+            return original(word)
+
+        for mod in list(sys.modules.values()):
+            if getattr(mod, "__name__", "").startswith("twistlab"):
+                if getattr(mod, "evaluate_meta_word", None) is original:
+                    monkeypatch.setattr(mod, "evaluate_meta_word", counted)
+        return calls
+
+    def test_invariants_evaluates_once(self, monkeypatch, capsys):
+        calls = self.count_evaluations(monkeypatch)
+        assert main(["invariants", fixture_path("E1"), "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["szpiro"]["n"] == 1
+        assert len(calls) == 1
+
+    def test_metaplectic_evaluates_once(self, monkeypatch, capsys):
+        calls = self.count_evaluations(monkeypatch)
+        assert main(["metaplectic", "(a b)^6", "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["boundary_multiplicity"] == 1
+        assert len(calls) == 1
+
+    def test_huge_power_finishes(self, capsys):
+        assert main(["metaplectic", "a^99999999999", "--json"]) == 2
+        out = json.loads(capsys.readouterr().out)
+        assert out["matrix"] == [[1, 99999999999], [0, 1]]
+        assert out["n"] == 0
+        assert out["central"] is False
+
+    def test_maslov_cross_check_runs(self, monkeypatch, capsys):
+        import twistlab.metaplectic as meta
+
+        monkeypatch.setattr(meta, "_maslov_signature", lambda l1, l2, l3: 2)
+        assert main(["invariants", fixture_path("E1"), "--json"]) == 1
+        assert "maslov cross-check failed" in capsys.readouterr().err
