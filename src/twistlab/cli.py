@@ -14,6 +14,7 @@ from .exact import IntMatrix, rank_over_rationals
 from .invariants import invariant_report
 from .metaplectic import central_multiplicity, evaluate_meta_word, parse_meta_word, szpiro_report
 from .presentations import (
+    AbelianInvariants,
     SurfaceGroup,
     abelianize,
     lift_loop,
@@ -81,12 +82,15 @@ def cmd_invariants(args) -> int:
 def cmd_geompres(args) -> int:
     try:
         data = load_json(args.file)
-        genus = data.get("genus")
-        if not isinstance(genus, int) or genus < 1:
+        genus = data.get("genus") if isinstance(data, dict) else None
+        if type(genus) is not int or genus < 1:  # bool is an int subclass
             raise SchemaError("need a positive integer genus")
         group = SurfaceGroup(genus)
         gens = group.generator_names
-        relators = [parse_word(r, gens) for r in data.get("relators", [])]
+        words = data.get("relators", [])
+        if not isinstance(words, list):
+            raise SchemaError("relators must be a list of words")
+        relators = [parse_word(r, gens) for r in words]
         gp = build_geometric_presentation(
             group, relators, ensure_nonseparating=bool(data.get("ensure_nonseparating"))
         )
@@ -156,10 +160,10 @@ def cmd_cover(args) -> int:
     except (SchemaError, TwistlabError, ValueError) as ex:
         print(f"input error: {ex}", file=sys.stderr)
         return E_INPUT
-    inv = abelianize(cover.cover_presentation)
     payload = {
         "cover_generators": list(cover.cover_presentation.generators),
-        "cover_h1": str(inv),
+        # free, as the cover's constructor checks
+        "cover_h1": str(AbelianInvariants(cover.homology_dim(), ())),
         "loops": [],
     }
     classes = []
@@ -205,10 +209,14 @@ def cmd_abelianize(args) -> int:
 
 
 def cmd_fixtures(args) -> int:
-    payload = {
-        "directory": fixtures_dir(),
-        "fixtures": {name: fixture_path(name) for name in FIXTURE_NAMES},
-    }
+    try:
+        payload = {
+            "directory": fixtures_dir(),
+            "fixtures": {name: fixture_path(name) for name in FIXTURE_NAMES},
+        }
+    except SchemaError as ex:
+        print(f"input error: {ex}", file=sys.stderr)
+        return E_INPUT
     _emit(payload, args.json)
     return E_OK
 

@@ -8,7 +8,6 @@ transforms are reproducible across runs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional, Sequence
 
 from .errors import DimensionMismatch
@@ -91,25 +90,37 @@ class IntMatrix:
         """Determinant by fraction-free (Bareiss) elimination."""
         if self.rows != self.cols:
             raise DimensionMismatch("square matrix required")
-        n = self.rows
-        if n == 0:
-            return 1
-        m = [list(r) for r in self.entries]
-        sign = 1
-        prev = 1
-        for k in range(n - 1):
-            if m[k][k] == 0:
-                piv = next((i for i in range(k + 1, n) if m[i][k] != 0), None)
-                if piv is None:
-                    return 0
-                m[k], m[piv] = m[piv], m[k]
-                sign = -sign
-            for i in range(k + 1, n):
-                for j in range(k + 1, n):
-                    m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-                m[i][k] = 0
-            prev = m[k][k]
-        return sign * m[n - 1][n - 1]
+        rank, sign, pivot = _bareiss(self)
+        return sign * pivot if rank == self.rows else 0
+
+
+def _bareiss(a: IntMatrix) -> tuple:
+    """Fraction-free (Bareiss) row echelon form of a.
+
+    Returns (rank, sign of the row permutation, last pivot).  After each step
+    every entry below the pivot rows is a minor of a, so the division by the
+    previous pivot is exact (Sylvester's identity); for a square matrix of
+    full rank the last pivot is the determinant up to the sign.
+    """
+    m = [list(r) for r in a.entries]
+    rank, sign, prev = 0, 1, 1
+    for c in range(a.cols):
+        if rank == a.rows:
+            break
+        piv = next((i for i in range(rank, a.rows) if m[i][c]), None)
+        if piv is None:
+            continue
+        if piv != rank:
+            m[rank], m[piv] = m[piv], m[rank]
+            sign = -sign
+        top = m[rank]
+        p = top[c]
+        for i in range(rank + 1, a.rows):
+            f = m[i][c]
+            m[i] = [(x * p - f * y) // prev for x, y in zip(m[i], top)]
+        prev = p
+        rank += 1
+    return rank, sign, prev
 
 
 @dataclass(frozen=True)
@@ -120,13 +131,6 @@ class SmithForm:
     rank: int
     left: IntMatrix
     right: IntMatrix
-
-    def reconstruct(self, shape) -> IntMatrix:
-        rows, cols = shape
-        m = [[0] * cols for _ in range(rows)]
-        for i, d in enumerate(self.diagonal):
-            m[i][i] = d
-        return IntMatrix(m)
 
 
 def _pivot(m, k, rows, cols):
@@ -219,51 +223,24 @@ def smith_normal_form(a: IntMatrix) -> SmithForm:
 
 
 def inverse_unimodular(m: IntMatrix) -> IntMatrix:
-    """Inverse of a unimodular integer matrix, exactly."""
+    """Inverse of a unimodular integer matrix, exactly: U * m * V = I gives
+    m^-1 = V * U."""
     if m.rows != m.cols:
         raise DimensionMismatch("square matrix required")
-    n = m.rows
-    aug = [[Fraction(x) for x in row] + [Fraction(1 if i == j else 0) for j in range(n)]
-           for i, row in enumerate(m.entries)]
-    for c in range(n):
-        piv = next((i for i in range(c, n) if aug[i][c] != 0), None)
-        if piv is None:
-            raise DimensionMismatch("matrix is singular")
-        aug[c], aug[piv] = aug[piv], aug[c]
-        inv = 1 / aug[c][c]
-        aug[c] = [x * inv for x in aug[c]]
-        for i in range(n):
-            if i != c and aug[i][c] != 0:
-                f = aug[i][c]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[c])]
-    out = [[x for x in row[n:]] for row in aug]
-    if any(x.denominator != 1 for row in out for x in row):
+    snf = smith_normal_form(m)
+    if snf.rank != m.rows:
+        raise DimensionMismatch("matrix is singular")
+    if any(d != 1 for d in snf.diagonal):
         raise DimensionMismatch("matrix is not unimodular")
-    return IntMatrix([[int(x) for x in row] for row in out])
+    return snf.right * snf.left
 
 
 def rank_over_rationals(a: IntMatrix) -> int:
-    """Rank over Q by Gaussian elimination with exact fractions.
+    """Rank over Q by fraction-free (Bareiss) elimination.
 
     Independent of the Smith-form route; the two are cross-checked in tests.
     """
-    m = [[Fraction(x) for x in row] for row in a.entries]
-    rank = 0
-    for col in range(a.cols):
-        piv = next((i for i in range(rank, a.rows) if m[i][col] != 0), None)
-        if piv is None:
-            continue
-        m[rank], m[piv] = m[piv], m[rank]
-        inv = 1 / m[rank][col]
-        m[rank] = [x * inv for x in m[rank]]
-        for i in range(a.rows):
-            if i != rank and m[i][col] != 0:
-                f = m[i][col]
-                m[i] = [x - f * y for x, y in zip(m[i], m[rank])]
-        rank += 1
-        if rank == a.rows:
-            break
-    return rank
+    return _bareiss(a)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
 from .errors import DimensionMismatch, SchemaError, ZeroCharacter
-from .exact import IntMatrix, smith_normal_form
+from .exact import IntMatrix, SmithForm, inverse_unimodular, smith_normal_form
 
 Word = Tuple[int, ...]
 
@@ -61,13 +61,20 @@ def exponent_vector(word: Sequence[int], n_generators: int) -> tuple:
 
 def parse_word(tokens: Sequence[str], generators: Sequence[str]) -> Word:
     """Tokens like "a1" or "b2^-1" to a signed index word."""
+    if not isinstance(tokens, (list, tuple)):
+        raise SchemaError(f"a word is a list of tokens, not {tokens!r}")
     index = {g: i + 1 for i, g in enumerate(generators)}
     out = []
     for tok in tokens:
+        if not isinstance(tok, str):
+            raise SchemaError(f"word token {tok!r} is not a string")
         name, _, exp = tok.partition("^")
         if name not in index:
             raise SchemaError(f"unknown generator {name!r}")
-        e = int(exp) if exp else 1
+        try:
+            e = int(exp) if exp else 1
+        except ValueError:
+            raise SchemaError(f"token {tok!r}: the power is not an integer") from None
         if e == 0:
             continue
         out.extend([index[name] if e > 0 else -index[name]] * abs(e))
@@ -131,9 +138,15 @@ class AbelianInvariants:
 
 
 def abelianize(p: FinitePresentation) -> AbelianInvariants:
-    snf = smith_normal_form(p.relator_matrix())
-    torsion = tuple(d for d in snf.diagonal if d > 1)
-    return AbelianInvariants(free_rank=p.rank - snf.rank, torsion=torsion)
+    return _invariants(p, smith_normal_form(p.relator_matrix()))
+
+
+def _invariants(p: FinitePresentation, snf: SmithForm) -> AbelianInvariants:
+    """Abelianization of p from a Smith form of its relator matrix or of the
+    transpose (the two share a diagonal)."""
+    return AbelianInvariants(
+        free_rank=p.rank - snf.rank, torsion=tuple(d for d in snf.diagonal if d > 1)
+    )
 
 
 def quotient_by_normal_closure(
@@ -237,9 +250,10 @@ class DoubleCover:
     transversal_gen: int
     schreier_gens: Tuple[Tuple[int, int], ...]  # (coset, base generator)
     cover_presentation: FinitePresentation
-    # quotient data: y = left * x, coordinates with diagonal 1 dropped
+    # quotient data: y = left * x; the first _relations coordinates span the
+    # relator lattice (Smith diagonal 1) and are dropped
     _left: IntMatrix = field(repr=False)
-    _drop: Tuple[int, ...] = field(repr=False)
+    _relations: int = field(repr=False)
 
     @property
     def n_schreier(self) -> int:
@@ -256,11 +270,10 @@ class DoubleCover:
     def class_of(self, schreier_word: Sequence[int]) -> tuple:
         """Homology class in H1(cover) coordinates."""
         v = exponent_vector(schreier_word, self.n_schreier)
-        y = self._left.apply(v)
-        return tuple(y[i] for i in range(len(y)) if i not in self._drop)
+        return self._left.apply(v)[self._relations:]
 
     def homology_dim(self) -> int:
-        return self.n_schreier - len(self._drop)
+        return self.n_schreier - self._relations
 
     def transfer(self, base_class: Sequence[int]) -> tuple:
         """Transfer H1(base) -> H1(cover): class of the full preimage cycle."""
@@ -282,9 +295,9 @@ class DoubleCover:
 
     def deck_matrix(self) -> IntMatrix:
         """Action of the deck involution on H1(cover) in quotient
-        coordinates, computed from the Schreier rewriting of t * s * t^-1."""
-        from .exact import inverse_unimodular
-
+        coordinates, computed from the Schreier rewriting of t * s * t^-1:
+        the kept rows of U, times the action on Z^schreier, times the kept
+        columns of U^-1 (a section of the quotient map)."""
         t = self.transversal_gen
         n = self.n_schreier
         cols = []
@@ -297,10 +310,10 @@ class DoubleCover:
             conj = free_reduce((t,) + base_word + (-t,))
             cols.append(exponent_vector(self.rewrite(conj, 0), n))
         deck_full = IntMatrix(list(zip(*cols)))  # action on Z^schreier
-        keep = [i for i in range(n) if i not in self._drop]
-        proj = IntMatrix([[1 if j == k else 0 for j in range(n)] for k in keep])
-        section = inverse_unimodular(self._left) * proj.transpose()
-        return proj * self._left * deck_full * section
+        r = self._relations
+        project = IntMatrix(self._left.entries[r:])
+        section = IntMatrix([row[r:] for row in inverse_unimodular(self._left).entries])
+        return project * deck_full * section
 
 
 def _schreier_rewrite(
@@ -351,30 +364,24 @@ def reidemeister_schreier_double_cover(
     relators = (_schreier_rewrite(r, 0, chi, gid), _schreier_rewrite(r, 1, chi, gid))
     pres = FinitePresentation(names, relators)
 
-    # quotient coordinates for H1(cover) = Z^N / relator lattice
-    a = pres.relator_matrix().transpose()
-    snf = smith_normal_form(a)
-    drop = tuple(i for i in range(snf.rank) if snf.diagonal[i] == 1)
-    if len(drop) != snf.rank:
-        # torsion in a surface cover would signal a rewriting bug
-        raise SchemaError("cover homology has torsion")
-
-    cover = DoubleCover(
+    # quotient coordinates for H1(cover) = Z^N / relator lattice; the same
+    # Smith form gives the abelianization
+    snf = smith_normal_form(pres.relator_matrix().transpose())
+    inv = _invariants(pres, snf)
+    expected = 2 * (2 * s.genus - 1)
+    if inv.free_rank != expected or inv.torsion:
+        # a surface cover has free H1 of rank 2 * (2g - 1): anything else
+        # would signal a rewriting bug
+        raise SchemaError(f"cover abelianization {inv} != free rank {expected}")
+    return DoubleCover(
         base=s,
         character=chi,
         transversal_gen=t,
         schreier_gens=tuple(gens),
         cover_presentation=pres,
         _left=snf.left,
-        _drop=drop,
+        _relations=snf.rank,
     )
-    inv = abelianize(pres)
-    expected = 2 * (2 * s.genus - 1)
-    if inv.free_rank != expected or inv.torsion:
-        raise SchemaError(
-            f"cover abelianization {inv} != free rank {expected}"
-        )
-    return cover
 
 
 def lift_loop(cov: DoubleCover, word: Sequence[int]) -> LiftResult:

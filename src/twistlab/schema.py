@@ -79,9 +79,11 @@ def factorization_from_dict(data: dict) -> Factorization:
     for key in ("fiber_genus", "base_genus", "curves", "word"):
         _require(key in data, f"missing key {key!r}")
     g = data["fiber_genus"]
-    _require(isinstance(g, int) and g >= 0, "fiber_genus must be a non-negative int")
+    # type() rather than isinstance(): JSON true and false load as bools,
+    # which are ints
+    _require(type(g) is int and g >= 0, "fiber_genus must be a non-negative int")
     k = data["base_genus"]
-    _require(isinstance(k, int) and k >= 0, "base_genus must be a non-negative int")
+    _require(type(k) is int and k >= 0, "base_genus must be a non-negative int")
     gens = _surface_generators(g)
 
     curves = {}
@@ -112,7 +114,7 @@ def factorization_from_dict(data: dict) -> Factorization:
         _require(isinstance(d, dict), "word letters must be objects")
         _require(d.get("curve") in curves, f"letter references unknown curve {d.get('curve')!r}")
         exp = d.get("exponent", 1)
-        _require(isinstance(exp, int) and exp != 0, "letter exponent must be a nonzero int")
+        _require(type(exp) is int and exp != 0, "letter exponent must be a nonzero int")
         conj = None
         if d.get("conjugator"):
             conj = TwistWord(g, tuple(letter_from(x) for x in d["conjugator"]))
@@ -159,6 +161,7 @@ def presentation_from_dict(data: dict) -> FinitePresentation:
         "generators must be a list of names",
     )
     rels = data.get("relators", [])
+    _require(isinstance(rels, list), "relators must be a list of words")
     words = tuple(parse_word(r, gens) for r in rels)
     return FinitePresentation(tuple(gens), words)
 
@@ -186,7 +189,7 @@ def curve_system_to_dict(s: CurveSystem) -> dict:
 
 def curve_system_from_dict(data: dict) -> CurveSystem:
     g = data.get("genus")
-    _require(isinstance(g, int) and g >= 0, "genus must be a non-negative int")
+    _require(type(g) is int and g >= 0, "genus must be a non-negative int")
     gens = _surface_generators(g)
     curves = []
     for cd in data.get("curves", []):

@@ -1,10 +1,13 @@
 import itertools
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
+from twistlab.errors import DimensionMismatch
 from twistlab.exact import (
     F2Matrix,
     IntMatrix,
+    inverse_unimodular,
     rank_over_rationals,
     smith_normal_form,
     solve_f2,
@@ -12,7 +15,10 @@ from twistlab.exact import (
 
 
 def diag_matrix(snf, shape):
-    return snf.reconstruct(shape)
+    """The rows x cols matrix with the Smith diagonal on its diagonal."""
+    rows, cols = shape
+    return IntMatrix([[snf.diagonal[i] if i == j and i < snf.rank else 0 for j in range(cols)]
+                      for i in range(rows)])
 
 
 class TestSmithNormalForm:
@@ -56,7 +62,7 @@ class TestSmithNormalForm:
             ]
         )
         snf = smith_normal_form(a)
-        assert snf.left * a * snf.right == snf.reconstruct((6, 6))
+        assert snf.left * a * snf.right == diag_matrix(snf, (6, 6))
         assert snf.diagonal == (1, 1, 1, 1, 1, 1452849934)
         assert abs(a.det()) == 1452849934
 
@@ -77,7 +83,7 @@ small_matrices = st.integers(min_value=1, max_value=5).flatmap(
 def test_snf_round_trip(entries):
     a = IntMatrix(entries)
     snf = smith_normal_form(a)
-    assert snf.left * a * snf.right == snf.reconstruct((a.rows, a.cols))
+    assert snf.left * a * snf.right == diag_matrix(snf, (a.rows, a.cols))
     for d1, d2 in zip(snf.diagonal, snf.diagonal[1:]):
         assert d2 % d1 == 0
     assert all(d > 0 for d in snf.diagonal)
@@ -93,6 +99,19 @@ def test_rank_agrees_with_snf(entries):
     assert rank_over_rationals(a) == smith_normal_form(a).rank
 
 
+@settings(max_examples=120, deadline=None)
+@given(small_matrices)
+def test_det_agrees_with_snf(entries):
+    # |det| is the product of the Smith diagonal, 0 below full rank
+    n = min(len(entries), len(entries[0]))
+    a = IntMatrix([row[:n] for row in entries[:n]])
+    snf = smith_normal_form(a)
+    product = 1
+    for d in snf.diagonal:
+        product *= d
+    assert abs(a.det()) == (product if snf.rank == a.rows else 0)
+
+
 class TestRank:
     def test_zero(self):
         assert rank_over_rationals(IntMatrix.zeros(3, 3)) == 0
@@ -100,6 +119,62 @@ class TestRank:
     def test_identity(self):
         for n in (1, 2, 5):
             assert rank_over_rationals(IntMatrix.identity(n)) == n
+
+    def test_empty(self):
+        assert rank_over_rationals(IntMatrix([])) == 0
+        assert IntMatrix([]).det() == 1
+
+    def test_skipped_column(self):
+        # the second column vanishes below the first pivot, so elimination
+        # skips it and the third column gives the second pivot
+        a = IntMatrix([[2, 4, 1], [4, 8, 5], [6, 12, 9]])
+        assert rank_over_rationals(a) == 2
+        assert a.det() == 0
+
+    def test_det_sign_of_row_swap(self):
+        assert IntMatrix([[0, 1], [1, 0]]).det() == -1
+        assert IntMatrix([[0, 2, 0], [0, 0, 3], [5, 0, 0]]).det() == 30
+
+
+# products of elementary matrices: unimodular by construction
+elementary_ops = st.lists(
+    st.tuples(
+        st.integers(min_value=0, max_value=4),
+        st.integers(min_value=0, max_value=4),
+        st.integers(min_value=-5, max_value=5),
+    ),
+    max_size=12,
+)
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.integers(min_value=1, max_value=5), elementary_ops)
+def test_inverse_unimodular_round_trip(n, ops):
+    m = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    for i, j, q in ops:
+        i, j = i % n, j % n
+        if i == j:  # negate a row
+            m[i] = [-x for x in m[i]]
+        else:  # row_i += q * row_j
+            m[i] = [x + q * y for x, y in zip(m[i], m[j])]
+    a = IntMatrix(m)
+    inv = inverse_unimodular(a)
+    assert inv * a == IntMatrix.identity(n)
+    assert a * inv == IntMatrix.identity(n)
+
+
+class TestInverseUnimodular:
+    def test_not_square(self):
+        with pytest.raises(DimensionMismatch, match="square"):
+            inverse_unimodular(IntMatrix([[1, 0, 0], [0, 1, 0]]))
+
+    def test_singular(self):
+        with pytest.raises(DimensionMismatch, match="singular"):
+            inverse_unimodular(IntMatrix([[1, 2], [2, 4]]))
+
+    def test_not_unimodular(self):
+        with pytest.raises(DimensionMismatch, match="not unimodular"):
+            inverse_unimodular(IntMatrix([[2, 0], [0, 1]]))
 
 
 class TestSolveF2:

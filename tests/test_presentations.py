@@ -1,6 +1,9 @@
+import json
+import os
+
 import pytest
 
-from twistlab.errors import ZeroCharacter
+from twistlab.errors import SchemaError, ZeroCharacter
 from twistlab.exact import IntMatrix, rank_over_rationals
 from twistlab.presentations import (
     AbelianInvariants,
@@ -14,17 +17,35 @@ from twistlab.presentations import (
     free_reduce,
     inverse_word,
     lift_loop,
+    parse_word,
     quotient_by_normal_closure,
     reidemeister_schreier_double_cover,
 )
 
 BRAID = FinitePresentation(("ta", "tb"), ((1, 2, 1, -2, -1, -2),))
 
+# deck_matrix() for seeded characters of genus 2..6, recorded from the
+# implementation that projected with 0/1 matrix products
+with open(os.path.join(os.path.dirname(__file__), "golden", "deck_matrix.json")) as fh:
+    DECK_GOLDEN = json.load(fh)
+
 
 def test_free_and_cyclic_reduction():
     assert free_reduce((1, -1, 2)) == (2,)
     assert cyclic_reduce((1, 2, -1)) == (2,)
     assert canonical_rotation((2, 1)) == (1, 2)
+
+
+class TestParseWord:
+    def test_tokens(self):
+        assert parse_word(["a1", "b1^-2", "a1^0"], ("a1", "b1")) == (1, -2, -2)
+
+    @pytest.mark.parametrize(
+        "tokens", [[5], ["a1", None], ["a1^x"], ["a1^1.5"], "a1", 5], ids=repr
+    )
+    def test_malformed(self, tokens):
+        with pytest.raises(SchemaError):
+            parse_word(tokens, ("a1", "b1"))
 
 
 class TestAbelianize:
@@ -125,6 +146,13 @@ class TestDoubleCover:
         cov = reidemeister_schreier_double_cover(SurfaceGroup(2), (0, 1, 0, 0))
         d = cov.deck_matrix()
         assert d * d == IntMatrix.identity(cov.homology_dim())
+
+    @pytest.mark.parametrize(
+        "case", DECK_GOLDEN, ids=lambda c: f"g{c['genus']}-" + "".join(map(str, c["chi"]))
+    )
+    def test_deck_matrix_golden(self, case):
+        cov = reidemeister_schreier_double_cover(SurfaceGroup(case["genus"]), case["chi"])
+        assert cov.deck_matrix() == IntMatrix(case["deck_matrix"])
 
 
 class TestLiftLoop:

@@ -299,3 +299,88 @@ class TestOneEvaluation:
         monkeypatch.setattr(meta, "_maslov_signature", lambda l1, l2, l3: 2)
         assert main(["invariants", fixture_path("E1"), "--json"]) == 1
         assert "maslov cross-check failed" in capsys.readouterr().err
+
+
+class TestInputErrors:
+    """Malformed input ends in exit 1 with a message, never a traceback."""
+
+    @staticmethod
+    def run(argv, capsys):
+        code = main(argv)
+        err = capsys.readouterr().err
+        assert "input error" in err
+        assert "Traceback" not in err
+        return code
+
+    @pytest.mark.parametrize(
+        "relators", [[[5]], [["a1^x"]], [5], 5], ids=["int-token", "bad-power", "int-relator", "int"]
+    )
+    def test_abelianize_malformed_relators(self, tmp_path, capsys, relators):
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps({"generators": ["a1"], "relators": relators}))
+        assert self.run(["abelianize", str(path)], capsys) == 1
+
+    @pytest.mark.parametrize(
+        "data", [{"genus": 1, "relators": [[5]]}, {"genus": 1, "relators": 5}, [1]],
+        ids=["int-token", "int-relators", "not-an-object"],
+    )
+    def test_geompres_malformed_input(self, tmp_path, capsys, data):
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps(data))
+        assert self.run(["geompres", str(path)], capsys) == 1
+
+    def test_cover_malformed_loop(self, capsys):
+        argv = ["cover", "--genus", "1", "--chi", "1,0", "--loop", "a1^x"]
+        assert self.run(argv, capsys) == 1
+
+    def test_missing_fixture_directory(self, monkeypatch, capsys):
+        monkeypatch.setenv("TWISTLAB_FIXTURES", "/nonexistent")
+        assert self.run(["fixtures"], capsys) == 1
+
+    @pytest.mark.parametrize("command", ["verify", "invariants"])
+    @pytest.mark.parametrize("where", ["fiber_genus", "base_genus", "exponent"])
+    def test_json_boolean_is_not_an_integer(self, tmp_path, capsys, command, where):
+        data = json.load(open(fixture_path("E1")))
+        if where == "exponent":
+            data["word"][0]["exponent"] = True
+        else:
+            data[where] = True if where == "fiber_genus" else False
+        path = tmp_path / "e1.json"
+        path.write_text(json.dumps(data))
+        assert self.run([command, str(path)], capsys) == 1
+
+    def test_geompres_boolean_genus(self, tmp_path, capsys):
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps({"genus": True, "relators": [["a1"]]}))
+        assert self.run(["geompres", str(path)], capsys) == 1
+
+
+class TestOneSmithForm:
+    """The cover command takes the cover's quotient coordinates and its H1
+    from one Smith normal form; the span rank uses none."""
+
+    @staticmethod
+    def count_smith_forms(monkeypatch):
+        import twistlab.exact as exact
+
+        original = exact.smith_normal_form
+        calls = []
+
+        def counted(a):
+            calls.append((a.rows, a.cols))
+            return original(a)
+
+        for mod in list(sys.modules.values()):
+            if getattr(mod, "__name__", "").startswith("twistlab"):
+                if getattr(mod, "smith_normal_form", None) is original:
+                    monkeypatch.setattr(mod, "smith_normal_form", counted)
+        return calls
+
+    def test_cover_runs_one_smith_form(self, monkeypatch, capsys):
+        calls = self.count_smith_forms(monkeypatch)
+        argv = ["cover", "--genus", "2", "--chi", "0,1,0,0", "--loop", "a1", "--loop", "b1 a2", "--json"]
+        assert main(argv) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["cover_h1"] == "Z^6"
+        assert out["span_rank"] == 2
+        assert len(calls) == 1
