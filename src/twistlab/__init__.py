@@ -1,7 +1,15 @@
 """twistlab: exact computations with Dehn-twist monodromy factorizations of
 Lefschetz fibrations."""
 
-from .exact import F2Matrix, IntMatrix, SmithForm, rank_over_rationals, smith_normal_form, solve_f2
+from .exact import (
+    F2Matrix,
+    IntMatrix,
+    SmithForm,
+    rank_over_rationals,
+    smith_diagonal,
+    smith_normal_form,
+    solve_f2,
+)
 from .invariants import (
     Factorization,
     InvariantReport,

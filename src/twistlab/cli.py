@@ -36,7 +36,9 @@ E_OK, E_INPUT, E_VERIFY, E_CONTRADICTION = 0, 1, 2, 3
 
 def _emit(payload: dict, as_json: bool):
     if as_json:
-        print(json.dumps(payload, indent=1, default=str))
+        # streamed: a geompres system runs to megabytes of text
+        json.dump(payload, sys.stdout, indent=1, default=str)
+        sys.stdout.write("\n")
     else:
         for k, v in payload.items():
             print(f"{k}: {v}")
@@ -107,7 +109,7 @@ def cmd_geompres(args) -> int:
         "verification": report,
     }
     if args.json:
-        print(json.dumps(payload, indent=1))
+        _emit(payload, True)
     else:
         print(f"genus e = {gp.genus} (base {gp.base.genus} + {gp.crossings} crossings)")
         print(f"curves: {[c.name for c in gp.system.curves]}")

@@ -9,6 +9,10 @@ class SchemaError(TwistlabError):
     """Malformed or inconsistent input data."""
 
 
+class BudgetExceeded(SchemaError):
+    """An input would expand past a fixed size budget."""
+
+
 class DimensionMismatch(TwistlabError):
     pass
 

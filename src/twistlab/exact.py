@@ -7,7 +7,9 @@ transforms are reproducible across runs.
 """
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
+from itertools import compress
 from typing import Optional, Sequence
 
 from .errors import DimensionMismatch
@@ -19,7 +21,7 @@ class IntMatrix:
     __slots__ = ("rows", "cols", "entries")
 
     def __init__(self, entries: Sequence[Sequence[int]]):
-        rows = tuple(tuple(int(x) for x in row) for row in entries)
+        rows = tuple(tuple(map(int, row)) for row in entries)
         if rows:
             width = len(rows[0])
             if any(len(r) != width for r in rows):
@@ -220,6 +222,75 @@ def smith_normal_form(a: IntMatrix) -> SmithForm:
                 changed = True
     diagonal = tuple(m[i][i] for i in range(min(rows, cols)) if m[i][i] != 0)
     return SmithForm(diagonal=diagonal, rank=len(diagonal), left=IntMatrix(u), right=IntMatrix(v))
+
+
+def smith_diagonal(a: IntMatrix) -> tuple:
+    """The nonzero Smith diagonal of a, equal to smith_normal_form(a).diagonal,
+    without the transforms.
+
+    Unit entries are eliminated first on sparse rows (after Havas-Holt-Rees,
+    "Recognizing badly presented Z-modules", 1993): the +-1 entry of least
+    Markowitz cost (row nnz - 1) * (column nnz - 1), ties by (row, column),
+    clears its column by row operations; the column operations that would
+    clear its row change only the pivot row, so the row and column are dropped
+    and a 1 is counted.  The dense remainder goes to smith_normal_form.
+    """
+    rows = {i: {j: r[j] for j in compress(range(len(r)), r)} for i, r in enumerate(a.entries)}
+    rows_of = {}  # column -> rows holding an entry in it
+    for i, r in rows.items():
+        for j in r:
+            rows_of.setdefault(j, set()).add(i)
+
+    def best(i):
+        """(cost, column) of the cheapest unit entry of row i, or None."""
+        n = len(rows[i]) - 1
+        costs = [(n * (len(rows_of[j]) - 1), j) for j, x in rows[i].items() if x in (1, -1)]
+        return min(costs) if costs else None
+
+    # a row's current best entry is in the heap whenever the row or one of
+    # its columns changes; items that no longer match are skipped
+    heap = []
+
+    def push(changed):
+        for i in changed:
+            b = best(i)
+            if b:
+                heapq.heappush(heap, (b[0], i, b[1]))
+
+    push(rows)
+    units = 0
+    while heap:
+        c, p, q = heapq.heappop(heap)
+        if p not in rows or best(p) != (c, q):
+            continue
+        top = rows.pop(p)
+        s = top.pop(q)
+        changed_rows, changed_cols = rows_of.pop(q) - {p}, set(top)
+        for i in changed_rows:
+            r = rows[i]
+            f = r.pop(q) * s  # s is its own inverse
+            for j, x in top.items():
+                y = r.get(j, 0) - f * x
+                if y:
+                    if j not in r:
+                        rows_of[j].add(i)
+                        changed_cols.add(j)
+                    r[j] = y
+                elif j in r:
+                    del r[j]
+                    rows_of[j].discard(i)
+                    changed_cols.add(j)
+        for j in top:
+            rows_of[j].discard(p)
+        units += 1
+        for j in changed_cols:
+            changed_rows |= rows_of[j]
+        push(changed_rows)
+    cols = sorted(j for j, owners in rows_of.items() if owners)
+    rest = [[r.get(j, 0) for j in cols] for _, r in sorted(rows.items()) if r]
+    if not rest:
+        return (1,) * units
+    return (1,) * units + smith_normal_form(IntMatrix(rest)).diagonal
 
 
 def inverse_unimodular(m: IntMatrix) -> IntMatrix:

@@ -23,7 +23,7 @@ from .errors import (
     SchemaError,
     SignatureUnknown,
 )
-from .exact import IntMatrix, smith_normal_form
+from .exact import IntMatrix, smith_diagonal
 from .metaplectic import MetaElement, boundary_multiplicity, szpiro_report
 from .presentations import (
     AbelianInvariants,
@@ -134,9 +134,9 @@ def h1_total_space(f: Factorization) -> AbelianInvariants:
     g2 = 2 * f.fiber_genus
     if not classes:
         return AbelianInvariants(free_rank=g2, torsion=())
-    snf = smith_normal_form(IntMatrix(classes))
-    torsion = tuple(d for d in snf.diagonal if d > 1)
-    return AbelianInvariants(free_rank=g2 - snf.rank, torsion=torsion)
+    diagonal = smith_diagonal(IntMatrix(classes))
+    torsion = tuple(d for d in diagonal if d > 1)
+    return AbelianInvariants(free_rank=g2 - len(diagonal), torsion=torsion)
 
 
 def _boundary_case(f: Factorization) -> bool:

@@ -9,10 +9,13 @@ import math
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
-from .errors import DimensionMismatch, SchemaError, ZeroCharacter
-from .exact import IntMatrix, SmithForm, inverse_unimodular, smith_normal_form
+from .errors import BudgetExceeded, DimensionMismatch, SchemaError, ZeroCharacter
+from .exact import IntMatrix, inverse_unimodular, smith_diagonal, smith_normal_form
 
 Word = Tuple[int, ...]
+
+# letters of one parsed word once its powers are expanded
+MAX_WORD_LETTERS = 10**6
 
 
 def free_reduce(word: Sequence[int]) -> Word:
@@ -77,6 +80,8 @@ def parse_word(tokens: Sequence[str], generators: Sequence[str]) -> Word:
             raise SchemaError(f"token {tok!r}: the power is not an integer") from None
         if e == 0:
             continue
+        if len(out) + abs(e) > MAX_WORD_LETTERS:
+            raise BudgetExceeded(f"token {tok!r}: the word would exceed {MAX_WORD_LETTERS} letters")
         out.extend([index[name] if e > 0 else -index[name]] * abs(e))
     return tuple(out)
 
@@ -138,14 +143,14 @@ class AbelianInvariants:
 
 
 def abelianize(p: FinitePresentation) -> AbelianInvariants:
-    return _invariants(p, smith_normal_form(p.relator_matrix()))
+    return _invariants(p, smith_diagonal(p.relator_matrix()))
 
 
-def _invariants(p: FinitePresentation, snf: SmithForm) -> AbelianInvariants:
-    """Abelianization of p from a Smith form of its relator matrix or of the
-    transpose (the two share a diagonal)."""
+def _invariants(p: FinitePresentation, diagonal: Sequence[int]) -> AbelianInvariants:
+    """Abelianization of p from the nonzero Smith diagonal of its relator
+    matrix or of the transpose (the two share it)."""
     return AbelianInvariants(
-        free_rank=p.rank - snf.rank, torsion=tuple(d for d in snf.diagonal if d > 1)
+        free_rank=p.rank - len(diagonal), torsion=tuple(d for d in diagonal if d > 1)
     )
 
 
@@ -367,7 +372,7 @@ def reidemeister_schreier_double_cover(
     # quotient coordinates for H1(cover) = Z^N / relator lattice; the same
     # Smith form gives the abelianization
     snf = smith_normal_form(pres.relator_matrix().transpose())
-    inv = _invariants(pres, snf)
+    inv = _invariants(pres, snf.diagonal)
     expected = 2 * (2 * s.genus - 1)
     if inv.free_rank != expected or inv.torsion:
         # a surface cover has free H1 of rank 2 * (2g - 1): anything else

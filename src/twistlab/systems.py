@@ -452,10 +452,8 @@ def build_geometric_presentation(
 def verify_geometric_presentation(gp: GeometricPresentation) -> dict:
     """Pass/fail per geometric-presentation invariant, with the
     abelianization cross-check against the target quotient."""
-    names = [c.name for c in gp.system.curves]
-    pairwise_ok = all(
-        gp.system.count(a, b) <= 1 for a in names for b in names if a < b
-    )
+    # pairs missing from the intersection table are disjoint
+    pairwise_ok = all(k <= 1 for (a, b), k in gp.system._table.items() if a != b)
     connected_ok = dual_graph(gp.system).is_connected()
     genus_ok = gp.genus >= gp.base.genus + gp.crossings
     quot_ab = abelianize(gp.quotient)

@@ -9,6 +9,7 @@ from twistlab.exact import (
     IntMatrix,
     inverse_unimodular,
     rank_over_rationals,
+    smith_diagonal,
     smith_normal_form,
     solve_f2,
 )
@@ -110,6 +111,47 @@ def test_det_agrees_with_snf(entries):
     for d in snf.diagonal:
         product *= d
     assert abs(a.det()) == (product if snf.rank == a.rows else 0)
+
+
+class TestSmithDiagonal:
+    """The sparse unit-pivot route against the dense Smith form."""
+
+    @pytest.mark.parametrize(
+        "entries, diagonal",
+        [
+            ([], ()),
+            ([[], []], ()),
+            ([[0, 0, 0], [0, 0, 0]], ()),
+            ([[0, 1, 0], [0, 0, 0], [0, 3, 0]], (1,)),
+            ([[1, 2], [3, 4]], (1, 2)),
+            ([[2, 4], [6, 8]], (2, 4)),
+            ([[2, 0, 0], [0, 3, 0], [0, 0, 0]], (1, 6)),
+            ([[1, 1, 0], [0, 6, 1], [0, 0, 6]], (1, 1, 36)),
+        ],
+    )
+    def test_cases(self, entries, diagonal):
+        a = IntMatrix(entries)
+        assert smith_diagonal(a) == diagonal == smith_normal_form(a).diagonal
+
+
+# mostly zero, with units and the torsion-making entries 2, 3 and 6; zero rows,
+# zero columns and the empty matrix occur
+sparse_matrices = st.integers(min_value=0, max_value=9).flatmap(
+    lambda r: st.integers(min_value=0, max_value=9).flatmap(
+        lambda c: st.lists(
+            st.lists(st.sampled_from((0, 0, 0, 0, 1, -1, 2, -3, 6)), min_size=c, max_size=c),
+            min_size=r,
+            max_size=r,
+        )
+    )
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(sparse_matrices, small_matrices))
+def test_smith_diagonal_agrees_with_snf(entries):
+    a = IntMatrix(entries)
+    assert smith_diagonal(a) == smith_normal_form(a).diagonal
 
 
 class TestRank:

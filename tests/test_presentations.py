@@ -3,9 +3,10 @@ import os
 
 import pytest
 
-from twistlab.errors import SchemaError, ZeroCharacter
+from twistlab.errors import BudgetExceeded, SchemaError, ZeroCharacter
 from twistlab.exact import IntMatrix, rank_over_rationals
 from twistlab.presentations import (
+    MAX_WORD_LETTERS,
     AbelianInvariants,
     FinitePresentation,
     SurfaceGroup,
@@ -46,6 +47,14 @@ class TestParseWord:
     def test_malformed(self, tokens):
         with pytest.raises(SchemaError):
             parse_word(tokens, ("a1", "b1"))
+
+    def test_power_budget(self):
+        assert len(parse_word([f"a1^{MAX_WORD_LETTERS}"], ("a1",))) == MAX_WORD_LETTERS
+        with pytest.raises(BudgetExceeded, match="a1\\^-99999999999"):
+            parse_word(["a1^-99999999999"], ("a1",))
+        # the budget counts the whole word, not one token
+        with pytest.raises(BudgetExceeded, match="b1"):
+            parse_word([f"a1^{MAX_WORD_LETTERS}", "b1"], ("a1", "b1"))
 
 
 class TestAbelianize:

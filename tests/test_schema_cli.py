@@ -1,5 +1,6 @@
 import json
 import sys
+import time
 
 import pytest
 
@@ -333,6 +334,13 @@ class TestInputErrors:
         argv = ["cover", "--genus", "1", "--chi", "1,0", "--loop", "a1^x"]
         assert self.run(argv, capsys) == 1
 
+    def test_cover_word_power_budget(self, capsys):
+        # a power is checked against the word budget before it is expanded
+        start = time.perf_counter()
+        argv = ["cover", "--genus", "1", "--chi", "1,0", "--loop", "a1^99999999999"]
+        assert self.run(argv, capsys) == 1
+        assert time.perf_counter() - start < 1.0
+
     def test_missing_fixture_directory(self, monkeypatch, capsys):
         monkeypatch.setenv("TWISTLAB_FIXTURES", "/nonexistent")
         assert self.run(["fixtures"], capsys) == 1
@@ -357,7 +365,8 @@ class TestInputErrors:
 
 class TestOneSmithForm:
     """The cover command takes the cover's quotient coordinates and its H1
-    from one Smith normal form; the span rank uses none."""
+    from one Smith normal form; the span rank uses none.  The dense Smith
+    forms of a geompres command see only what unit pivots leave."""
 
     @staticmethod
     def count_smith_forms(monkeypatch):
@@ -384,3 +393,20 @@ class TestOneSmithForm:
         assert out["cover_h1"] == "Z^6"
         assert out["span_rank"] == 2
         assert len(calls) == 1
+
+    def test_geompres_smith_forms_stay_small(self, tmp_path, monkeypatch, capsys):
+        # 101 crossings give 202 one-letter handle relators; the dense Smith
+        # form receives at most the rows of pi_2 modulo the three relators
+        relators = [
+            ["b2^-1", "a2", "b2^-2", "b1^-1", "a2", "a1", "b1^-1"],
+            ["a1^-1", "a2", "a1^-1", "b2^-1", "b1^-1", "b2^-1", "a1^-2"],
+            ["a2^-1", "b1^2", "b2", "a1", "b2^-1", "a2", "a1^-1"],
+        ]
+        path = tmp_path / "geompres.json"
+        path.write_text(json.dumps({"genus": 2, "relators": relators}))
+        calls = self.count_smith_forms(monkeypatch)
+        assert main(["geompres", str(path), "--json"]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["crossings"] == 101
+        assert out["verification"]["pass"]
+        assert all(rows <= 2 * 2 + len(relators) for rows, _ in calls), calls

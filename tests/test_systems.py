@@ -3,6 +3,7 @@ import random
 import pytest
 
 from twistlab.errors import EmptyRelators, SchemaError
+from twistlab.exact import smith_diagonal, smith_normal_form
 from twistlab.presentations import SurfaceGroup, abelianize
 from twistlab.surfaces import Curve, SurfaceData
 from twistlab.systems import (
@@ -157,6 +158,21 @@ class TestBuilder:
             rep = verify_geometric_presentation(gp)
             assert rep["pass"], (g, rels, rep)
             assert gp.genus == g + gp.crossings
+
+    def test_sparse_and_dense_quotient_diagonals_agree(self):
+        def relator(rng, g):
+            word = []
+            while len(word) < 4 or word[0] == -word[-1]:
+                x = rng.choice([1, -1]) * rng.randint(1, 2 * g)
+                word = [x] if word and word[-1] == -x else word + [x]
+            return tuple(word)
+
+        rng = random.Random(20261018)
+        for g in (1, 1, 2, 2, 3):
+            rels = [relator(rng, g) for _ in range(rng.randint(2, 3))]
+            gp = build_geometric_presentation(SurfaceGroup(g), rels)
+            m = gp.quotient.relator_matrix()
+            assert smith_diagonal(m) == smith_normal_form(m).diagonal, (g, rels)
 
 
 class TestVerifier:
