@@ -7,20 +7,15 @@ with sign(c) = (-1)^((n+1)/2).  Multiplication is
 reference Lagrangian l0 = span(p).
 
 Lagrangian lines are primitive integer vectors up to sign; every order and
-betweenness computation is an exact sign of a 2x2 determinant.  The Maslov
-index is computed both by the cyclic-order rule and as the signature of the
-associated quadratic form.
+betweenness computation is an exact sign of a 2x2 determinant.
 
-There are two implementations of the group law.  The ``MetaElement`` law
-(``multiply``, ``meta_inverse``, ``cocycle``, ``act_tilde_lambda``) goes
-through ``maslov_index``, which cross-checks the two routes on every call, so
-every reported value (word evaluations, boundary multiplicities, Szpiro
-data, signatures) is computed with the check on.  The raw-tuple law used only
-by the positivity search (``conjugates_of_t_a``, ``search_positive_identity``)
-applies the cyclic rule alone: the Fraction signature is almost all of the
-cost of a group operation, and the search applies the law to every state it
-reaches.  Both laws share one cyclic rule (``_cyclic_tau``) and one line
-normaliser (``_norm_line``).
+There is one group law (``multiply``, ``meta_inverse``, ``cocycle``,
+``act_tilde_lambda``), and every evaluation goes through ``maslov_index``.
+Its value is the cyclic-order rule, cross-checked on every call against the
+integer closed form -sign(w12 w23 w31) of the signature of the Maslov form.
+The Fraction diagonalisation of that form (``_maslov_signature``) is kept as
+the reference route the test suite compares both against.  The positivity
+obstruction is the exponent-sum homomorphism ~SL(2,Z) -> Z, not a search.
 """
 from __future__ import annotations
 
@@ -29,7 +24,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple, Union
 
-from .errors import InvalidElement, InvalidPoint, NotCentral, NotPositive, SchemaError
+from .errors import (
+    BudgetExceeded,
+    InvalidElement,
+    InvalidPoint,
+    NotCentral,
+    NotPositive,
+    SchemaError,
+)
+from .presentations import MAX_WORD_LETTERS
 
 Mat2 = Tuple[Tuple[int, int], Tuple[int, int]]
 
@@ -56,16 +59,6 @@ def mat_apply(x: Mat2, v: Tuple[int, int]) -> Tuple[int, int]:
     return (x[0][0] * v[0] + x[0][1] * v[1], x[1][0] * v[0] + x[1][1] * v[1])
 
 
-def _norm_line(x: int, y: int) -> Tuple[int, int]:
-    """Primitive representative of the line through a nonzero (x, y): second
-    coordinate positive, or zero with the first positive."""
-    g = math.gcd(abs(x), abs(y))
-    x, y = x // g, y // g
-    if y < 0 or (y == 0 and x < 0):
-        x, y = -x, -y
-    return (x, y)
-
-
 @dataclass(frozen=True)
 class LagrangianLine:
     """Line through the origin, a primitive vector up to overall sign.
@@ -79,7 +72,11 @@ class LagrangianLine:
         x, y = (int(v) for v in self.vector)
         if x == 0 and y == 0:
             raise SchemaError("zero vector is not a line")
-        object.__setattr__(self, "vector", _norm_line(x, y))
+        g = math.gcd(x, y)
+        x, y = x // g, y // g
+        if y < 0 or (y == 0 and x < 0):
+            x, y = -x, -y
+        object.__setattr__(self, "vector", (x, y))
 
     def apply(self, m: Mat2) -> "LagrangianLine":
         return LagrangianLine(mat_apply(m, self.vector))
@@ -105,8 +102,9 @@ LINE_P = LagrangianLine((1, 0))
 LINE_Q = LagrangianLine((0, 1))
 
 
-def _cyclic_tau(v1: Tuple[int, int], v2: Tuple[int, int], v3: Tuple[int, int]) -> int:
-    """Cyclic-order Maslov rule on normalised line vectors."""
+def _maslov_cyclic(l1: LagrangianLine, l2: LagrangianLine, l3: LagrangianLine) -> int:
+    """Cyclic-order Maslov rule."""
+    v1, v2, v3 = l1.vector, l2.vector, l3.vector
     if v1 == v2 or v2 == v3 or v1 == v3:
         return 0
     # +1 iff v2 lies strictly between v1 and v3 in the counterclockwise
@@ -118,13 +116,23 @@ def _cyclic_tau(v1: Tuple[int, int], v2: Tuple[int, int], v3: Tuple[int, int]) -
     return 1 if between else -1
 
 
-def _maslov_cyclic(l1: LagrangianLine, l2: LagrangianLine, l3: LagrangianLine) -> int:
-    return _cyclic_tau(l1.vector, l2.vector, l3.vector)
+def _maslov_closed_form(l1: LagrangianLine, l2: LagrangianLine, l3: LagrangianLine) -> int:
+    """Signature of the Maslov form as -sign(w12 w23 w31), w_ij the
+    determinant of the vectors spanning lines i and j (Barge-Ghys).
+
+    The form has zero diagonal, so its trace is 0 and its determinant is
+    w12 w23 w31 / 4: a positive determinant means two negative eigenvalues,
+    a zero one means a repeated line and signature 0.  Flipping the sign of
+    one vector flips two factors, so the product is a function of the lines."""
+    (x1, y1), (x2, y2), (x3, y3) = l1.vector, l2.vector, l3.vector
+    p = (x1 * y2 - y1 * x2) * (x2 * y3 - y2 * x3) * (x3 * y1 - y3 * x1)
+    return (p < 0) - (p > 0)
 
 
 def _maslov_signature(l1: LagrangianLine, l2: LagrangianLine, l3: LagrangianLine) -> int:
     """Signature of Q(x1+x2+x3) = w(x1,x2) + w(x2,x3) + w(x3,x1) on the three
-    lines, by exact congruence diagonalization."""
+    lines, by exact congruence diagonalization.  The reference route of the
+    test suite; nothing at runtime calls it."""
     def w(u, v):
         return u[0] * v[1] - u[1] * v[0]
 
@@ -174,10 +182,10 @@ def _maslov_signature(l1: LagrangianLine, l2: LagrangianLine, l3: LagrangianLine
 def maslov_index(l1: LagrangianLine, l2: LagrangianLine, l3: LagrangianLine) -> int:
     """Maslov index of a triple of lines, in {-1, 0, 1}.
 
-    Computed by the cyclic-order rule and cross-checked against the signature
-    of the quadratic form on every call."""
+    Computed by the cyclic-order rule and cross-checked against the closed
+    form of the quadratic form's signature on every call."""
     cyc = _maslov_cyclic(l1, l2, l3)
-    sig = _maslov_signature(l1, l2, l3)
+    sig = _maslov_closed_form(l1, l2, l3)
     if cyc != sig:
         raise SchemaError(
             f"maslov cross-check failed: cyclic {cyc} != signature {sig}"
@@ -496,92 +504,45 @@ def displacement(x: MetaElement, pt: TildeLambdaPoint) -> Displacement:
 
 
 # ---------------------------------------------------------------------------
-# positivity search (no positive word in conjugates of t_a is the identity)
-#
-# Bulk state-space work uses the raw-tuple law below: (matrix, n) pairs with
-# the cyclic-order Maslov rule only and no membership check.  The Fraction
-# signature cross-check that ``maslov_index`` runs would dominate the cost of
-# every visited state, so it is left to the MetaElement law.  The test suite
-# checks that the two routes agree on every line triple the cocycle produces
-# over short words in A, B and J.
-
-
-def _fast_tau(g: Mat2, h: Mat2) -> int:
-    return _tau_from(g, mat_mul(g, h))
-
-
-def _tau_from(g: Mat2, gh: Mat2) -> int:
-    """tau(l0, g l0, gh l0) for l0 = span(p), from g and the product gh."""
-    return _cyclic_tau((1, 0), _norm_line(g[0][0], g[1][0]), _norm_line(gh[0][0], gh[1][0]))
-
-
-def _fast_mul(x, y):
-    g = mat_mul(x[0], y[0])
-    return (g, x[1] + y[1] + _tau_from(x[0], g))
-
-
-def _fast_inv(x):
-    gi = mat_inv(x[0])
-    return (gi, -x[1] - _fast_tau(x[0], gi))
+# positivity obstruction (no positive word in conjugates of t_a is the identity)
 
 
 def conjugates_of_t_a(max_conjugator_length: int = 2) -> Tuple[MetaElement, ...]:
     """Distinct values phi (A~_0) phi^-1 over reduced conjugator words of the
-    given maximum length in t_a, t_b and inverses."""
-    a_t = (A_MATRIX, 0)
-    b_t = (B_MATRIX, 1)
-    gens = {1: a_t, -1: _fast_inv(a_t), 2: b_t, -2: _fast_inv(b_t)}
-    words = [()]
-    level = [()]
+    given maximum length in t_a, t_b and inverses, sorted by (matrix, n)."""
+    a_t = MetaElement(A_MATRIX, 0)
+    b_t = MetaElement(B_MATRIX, 1)
+    gens = {1: a_t, -1: meta_inverse(a_t), 2: b_t, -2: meta_inverse(b_t)}
+    level = [(0, meta_identity())]  # (last letter, value) of each reduced word
+    conjugators = [meta_identity()]
     for _ in range(max_conjugator_length):
-        nxt = []
-        for w in level:
-            for s in (1, -1, 2, -2):
-                if not w or w[-1] != -s:
-                    nxt.append(w + (s,))
-        words.extend(nxt)
-        level = nxt
-    out = set()
-    for w in words:
-        phi = (IDENTITY, 0)
-        for s in w:
-            phi = _fast_mul(phi, gens[s])
-        out.add(_fast_mul(_fast_mul(phi, a_t), _fast_inv(phi)))
-    return tuple(
-        MetaElement(m, n) for m, n in sorted(out)
-    )
+        level = [
+            (s, multiply(phi, g)) for last, phi in level for s, g in gens.items() if last != -s
+        ]
+        conjugators.extend(phi for _, phi in level)
+    out = {multiply(multiply(phi, a_t), meta_inverse(phi)) for phi in conjugators}
+    return tuple(sorted(out, key=lambda e: (e.matrix, e.n)))
 
 
 def search_positive_identity(
     max_total_exponent: int = 12, max_conjugator_length: int = 2
 ) -> Optional[Tuple[MetaElement, ...]]:
-    """Exhaustive reachability search for (I, 0) among positive products of
-    conjugates of t_a with total exponent bounded as given.
+    """Witness that a positive product of conjugates of t_a, within the given
+    bounds, is the identity (I, 0); always None, for every bound.
 
-    Dedups states (two words with equal value have identical futures) and
-    splits the bound in half: a product of length L <= 2D equals the identity
-    iff some prefix value u of length <= D has u^-1 reachable in <= D steps.
-    Returns a witness pair of values or None.
+    Proof, by the exponent-sum homomorphism h: ~SL(2,Z) -> Z.
+    1. A~_0 = (A, 0) and B~_0 = (B, 1) satisfy the braid relation
+       A~ B~ A~ = B~ A~ B~, so B_3 -> ~SL(2,Z), sigma_1 -> A~_0,
+       sigma_2 -> B~_0, is a homomorphism.  It is an isomorphism: both groups
+       are central extensions of SL(2,Z) by Z, and the generator
+       (sigma_1 sigma_2)^6 of the kernel on the left goes to
+       (A~_0 B~_0)^6 = (I, 4), the generator on the right.  So h with
+       h(A~_0) = h(B~_0) = 1, the exponent sum of B_3, is well defined.
+    2. Z is abelian, so every conjugate phi A~_0 phi^-1 has h = 1.
+    3. So a positive product of k >= 1 conjugates has h = k != 0 = h(I, 0).
+    The arguments are kept for callers that name a bound; the tests compare
+    the answer with an exhaustive search at small bounds.
     """
-    conjs = [(e.matrix, e.n) for e in conjugates_of_t_a(max_conjugator_length)]
-    depth = (max_total_exponent + 1) // 2
-    start = (IDENTITY, 0)
-    dist = {start: 0}
-    frontier = [start]
-    for d in range(1, depth + 1):
-        nxt = []
-        for st in frontier:
-            for c in conjs:
-                v = _fast_mul(st, c)
-                if v not in dist:
-                    dist[v] = d
-                    nxt.append(v)
-        frontier = nxt
-    for st, d in dist.items():
-        inv = _fast_inv(st)
-        other = dist.get(inv)
-        if other is not None and 1 <= d + other <= max_total_exponent:
-            return (MetaElement(*st), MetaElement(*inv))
     return None
 
 
@@ -615,6 +576,10 @@ def parse_meta_word(text: str):
                     raise SchemaError("unbalanced parenthesis")
                 pos += 1
                 power = _maybe_power()
+                if len(letters) + len(inner) * abs(power) > MAX_WORD_LETTERS:
+                    raise BudgetExceeded(
+                        f"group power ^{power}: the word would exceed {MAX_WORD_LETTERS} letters"
+                    )
                 block = inner * abs(power)
                 if power < 0:
                     block = [l.inverse() for l in reversed(block)]
@@ -658,6 +623,8 @@ def parse_meta_word(text: str):
 
     def parse_atom() -> TwistLetter:
         nonlocal pos
+        if pos >= len(tokens):
+            raise SchemaError("expected a or b, got the end of the word")
         tok = tokens[pos]
         if tok not in ("a", "b"):
             raise SchemaError(f"expected a or b, got {tok!r}")
@@ -698,9 +665,10 @@ def _tokenize(text: str) -> List[str]:
             j = i + 1
             if j < len(text) and text[j] in "+-":
                 j += 1
+            digits = j
             while j < len(text) and text[j].isdigit():
                 j += 1
-            if j == i + 1:
+            if j == digits:
                 raise SchemaError("dangling ^")
             out.append(text[i:j])
             i = j

@@ -28,6 +28,15 @@ def _require(cond: bool, msg: str):
         raise SchemaError(msg)
 
 
+def _int_matrix(data, what: str) -> IntMatrix:
+    _require(
+        isinstance(data, list)
+        and all(isinstance(row, list) and all(type(x) is int for x in row) for row in data),
+        f"{what} must be a list of lists of ints",
+    )
+    return IntMatrix(data)
+
+
 # ---------------------------------------------------------------------------
 # factorizations
 
@@ -78,6 +87,8 @@ def factorization_from_dict(data: dict) -> Factorization:
     _require(isinstance(data, dict), "factorization must be an object")
     for key in ("fiber_genus", "base_genus", "curves", "word"):
         _require(key in data, f"missing key {key!r}")
+    for key in ("curves", "word"):
+        _require(isinstance(data[key], list), f"{key!r} must be a list")
     g = data["fiber_genus"]
     # type() rather than isinstance(): JSON true and false load as bools,
     # which are ints
@@ -116,21 +127,27 @@ def factorization_from_dict(data: dict) -> Factorization:
         exp = d.get("exponent", 1)
         _require(type(exp) is int and exp != 0, "letter exponent must be a nonzero int")
         conj = None
-        if d.get("conjugator"):
-            conj = TwistWord(g, tuple(letter_from(x) for x in d["conjugator"]))
+        conj_data = d.get("conjugator")
+        _require(
+            conj_data is None or isinstance(conj_data, list),
+            "a letter's conjugator must be a list of letters",
+        )
+        if conj_data:
+            conj = TwistWord(g, tuple(letter_from(x) for x in conj_data))
         return TwistLetter(curves[d["curve"]], exp, conjugator=conj)
 
     word = TwistWord(g, tuple(letter_from(d) for d in data["word"]))
 
     comm = None
     if data.get("commutator_part") is not None:
+        _require(isinstance(data["commutator_part"], list), "commutator_part must be a list")
         pairs = []
         for entry in data["commutator_part"]:
             _require(
                 isinstance(entry, list) and len(entry) == 2,
                 "commutator_part entries are pairs of matrices",
             )
-            pairs.append((IntMatrix(entry[0]), IntMatrix(entry[1])))
+            pairs.append(tuple(_int_matrix(x, "a commutator_part matrix") for x in entry))
         comm = tuple(pairs)
 
     return Factorization(

@@ -11,7 +11,7 @@ import itertools
 import random
 from contextlib import contextmanager
 
-from conftest import e1_factorization, e1_word
+from conftest import e1_factorization, e1_word, positive_identity_oracle
 from twistlab.exact import F2Matrix, IntMatrix, rank_over_rationals, solve_f2
 from twistlab.invariants import (
     fiber_sum,
@@ -28,6 +28,7 @@ from twistlab.metaplectic import (
     J_MATRIX,
     LINE_P,
     MetaElement,
+    cocycle,
     lift_generators,
     mat_mul,
     meta_power,
@@ -36,7 +37,6 @@ from twistlab.metaplectic import (
     szpiro_check,
     _maslov_cyclic,
     _maslov_signature,
-    _fast_tau,
 )
 from twistlab.presentations import (
     AbelianInvariants,
@@ -233,7 +233,7 @@ def test_criterion_5_szpiro_and_cocycle():
 
         def tau(g, h):
             if (g, h) not in cache:
-                cache[(g, h)] = _fast_tau(g, h)
+                cache[(g, h)] = cocycle(g, h)
             return cache[(g, h)]
 
         checked = 0
@@ -262,6 +262,7 @@ def test_criterion_6_positivity_obstruction():
         "no positive word in conjugates of t_a (total exponent <= 12, "
         "conjugators length <= 2) evaluates to (I, 0)",
     ):
+        assert positive_identity_oracle(12, 2) is None
         assert search_positive_identity(12, 2) is None
 
 

@@ -1,9 +1,10 @@
 import itertools
+import time
 from fractions import Fraction
 
 import pytest
 
-from conftest import CURVE_A, e1_word
+from conftest import CURVE_A, e1_word, positive_identity_oracle
 from twistlab.errors import InvalidElement, InvalidPoint, NotCentral, SchemaError
 from twistlab.metaplectic import (
     A_MATRIX,
@@ -32,6 +33,7 @@ from twistlab.metaplectic import (
     parse_meta_word,
     search_positive_identity,
     szpiro_check,
+    _maslov_closed_form,
     _maslov_cyclic,
     _maslov_signature,
 )
@@ -76,7 +78,9 @@ class TestMaslov:
         vecs = [(1, 0), (1, 1), (0, 1), (-1, 1), (1, 2), (-2, 1), (3, 1), (-1, 3)]
         lines = [LagrangianLine(v) for v in vecs]
         for l1, l2, l3 in itertools.product(lines, repeat=3):
-            assert _maslov_cyclic(l1, l2, l3) == _maslov_signature(l1, l2, l3)
+            sig = _maslov_signature(l1, l2, l3)
+            assert _maslov_cyclic(l1, l2, l3) == sig
+            assert _maslov_closed_form(l1, l2, l3) == sig
 
     def test_antisymmetry_and_cyclicity(self):
         l1, l2, l3 = LINE_P, LINE_PQ, LINE_Q
@@ -108,11 +112,9 @@ class TestCocycle:
 
     def test_cocycle_identity_exhaustive(self):
         # all triples of words with total length <= 4 over A, B, J and
-        # inverses; the bulk pass uses the cyclic-order rule, and every
-        # distinct line triple that occurs is cross-checked against the
-        # quadratic-form signature once
-        from twistlab.metaplectic import _fast_tau
-
+        # inverses; the bulk pass uses the cocycle (the cyclic-order rule,
+        # checked against the closed form), and every distinct line triple
+        # that occurs is cross-checked against the Fraction signature once
         letters = (1, -1, 2, -2, 3, -3)
         singles = words_up_to(4, letters)
         by_len = {}
@@ -124,7 +126,7 @@ class TestCocycle:
         def tau(g, h):
             key = (g, h)
             if key not in tau_cache:
-                tau_cache[key] = _fast_tau(g, h)
+                tau_cache[key] = cocycle(g, h)
             return tau_cache[key]
 
         checked = 0
@@ -352,7 +354,36 @@ class TestDisplacement:
 
 class TestPositivityObstruction:
     def test_small_bound(self):
-        assert search_positive_identity(6, 2) is None
+        for bounds in ((6, 2), (8, 2), (8, 3)):
+            assert positive_identity_oracle(*bounds) is None
+            assert search_positive_identity(*bounds) is None
+
+    def test_large_bound_is_immediate(self):
+        start = time.perf_counter()
+        assert search_positive_identity(14, 3) is None
+        assert time.perf_counter() - start < 1.0
+
+    def test_exponent_sum_homomorphism(self):
+        # h(A~_0) = h(B~_0) = 1 extends without conflict over every value of
+        # a word of length <= 8 in A~_0^+-1, B~_0^+-1
+        a, b, _ = lift_generators(0)
+        assert multiply(multiply(a, b), a) == multiply(multiply(b, a), b)
+        steps = [(a, 1), (meta_inverse(a), -1), (b, 1), (meta_inverse(b), -1)]
+        h = {meta_identity(): 0}
+        frontier = [meta_identity()]
+        for _ in range(8):
+            nxt = []
+            for x in frontier:
+                for g, dh in steps:
+                    y = multiply(x, g)
+                    if y not in h:
+                        h[y] = h[x] + dh
+                        nxt.append(y)
+                    assert h[y] == h[x] + dh, y
+            frontier = nxt
+        assert len(h) == 2589
+        for t in conjugates_of_t_a(3):
+            assert h[t] == 1, t
 
     def test_conjugate_set_contains_b(self):
         values = conjugates_of_t_a(2)

@@ -297,7 +297,7 @@ class TestOneEvaluation:
     def test_maslov_cross_check_runs(self, monkeypatch, capsys):
         import twistlab.metaplectic as meta
 
-        monkeypatch.setattr(meta, "_maslov_signature", lambda l1, l2, l3: 2)
+        monkeypatch.setattr(meta, "_maslov_closed_form", lambda l1, l2, l3: 2)
         assert main(["invariants", fixture_path("E1"), "--json"]) == 1
         assert "maslov cross-check failed" in capsys.readouterr().err
 
@@ -356,6 +356,41 @@ class TestInputErrors:
         path = tmp_path / "e1.json"
         path.write_text(json.dumps(data))
         assert self.run([command, str(path)], capsys) == 1
+
+    @pytest.mark.parametrize("command", ["verify", "invariants"])
+    @pytest.mark.parametrize(
+        "where, value",
+        [
+            ("curves", 5),
+            ("word", 5),
+            ("conjugator", 5),
+            ("commutator_part", [[5, 5]]),
+            ("commutator_part", [[[["x", 0], [0, 1]], [[1, 0], [0, 1]]]]),
+            ("commutator_part", [[[[True, 0], [0, 1]], [[1, 0], [0, 1]]]]),
+        ],
+        ids=["curves", "word", "conjugator", "matrix-int", "matrix-entry-str", "matrix-entry-bool"],
+    )
+    def test_factorization_malformed_types(self, tmp_path, capsys, command, where, value):
+        data = json.load(open(fixture_path("E1")))
+        if where == "conjugator":
+            data["word"][0]["conjugator"] = value
+        else:
+            data[where] = value
+        path = tmp_path / "e1.json"
+        path.write_text(json.dumps(data))
+        assert self.run([command, str(path)], capsys) == 1
+
+    @pytest.mark.parametrize(
+        "word", ["a^+", "[a]", "(a)^99999999999", "((a b)^100000)^100000"],
+        ids=["bare-sign", "end-of-input", "group-power", "nested-group-power"],
+    )
+    def test_metaplectic_malformed_word(self, capsys, word):
+        start = time.perf_counter()
+        assert main(["metaplectic", word]) == 1
+        err = capsys.readouterr().err
+        assert "parse error" in err
+        assert "Traceback" not in err
+        assert time.perf_counter() - start < 1.0
 
     def test_geompres_boolean_genus(self, tmp_path, capsys):
         path = tmp_path / "p.json"
