@@ -9,7 +9,7 @@ import argparse
 import json
 import sys
 
-from .errors import SchemaError, TwistlabError, ZeroCharacter
+from .errors import SchemaError, TwistlabError
 from .exact import IntMatrix, rank_over_rationals
 from .invariants import invariant_report
 from .metaplectic import central_multiplicity, evaluate_meta_word, parse_meta_word, szpiro_report
@@ -45,13 +45,8 @@ def _emit(payload: dict, as_json: bool):
 
 
 def cmd_verify(args) -> int:
-    try:
-        data = load_json(args.file)
-        f = factorization_from_dict(data)
-        ok, residual = f.verify_homological()
-    except (SchemaError, TwistlabError) as ex:
-        print(f"input error: {ex}", file=sys.stderr)
-        return E_INPUT
+    f = factorization_from_dict(load_json(args.file))
+    ok, residual = f.verify_homological()
     payload = {
         "relation_verified_homologically": ok,
         "note": "mapping-class-group identity assumed as input",
@@ -63,13 +58,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_invariants(args) -> int:
-    try:
-        data = load_json(args.file)
-        f = factorization_from_dict(data)
-        rep = invariant_report(f, external_signature=args.signature)
-    except (SchemaError, TwistlabError) as ex:
-        print(f"input error: {ex}", file=sys.stderr)
-        return E_INPUT
+    f = factorization_from_dict(load_json(args.file))
+    rep = invariant_report(f, external_signature=args.signature)
     if args.json:
         print(json.dumps(rep.to_dict(), indent=1))
     else:
@@ -82,23 +72,19 @@ def cmd_invariants(args) -> int:
 
 
 def cmd_geompres(args) -> int:
-    try:
-        data = load_json(args.file)
-        genus = data.get("genus") if isinstance(data, dict) else None
-        if type(genus) is not int or genus < 1:  # bool is an int subclass
-            raise SchemaError("need a positive integer genus")
-        group = SurfaceGroup(genus)
-        gens = group.generator_names
-        words = data.get("relators", [])
-        if not isinstance(words, list):
-            raise SchemaError("relators must be a list of words")
-        relators = [parse_word(r, gens) for r in words]
-        gp = build_geometric_presentation(
-            group, relators, ensure_nonseparating=bool(data.get("ensure_nonseparating"))
-        )
-    except (SchemaError, TwistlabError) as ex:
-        print(f"input error: {ex}", file=sys.stderr)
-        return E_INPUT
+    data = load_json(args.file)
+    genus = data.get("genus") if isinstance(data, dict) else None
+    if type(genus) is not int or genus < 1:  # bool is an int subclass
+        raise SchemaError("need a positive integer genus")
+    group = SurfaceGroup(genus)
+    gens = group.generator_names
+    words = data.get("relators", [])
+    if not isinstance(words, list):
+        raise SchemaError("relators must be a list of words")
+    relators = [parse_word(r, gens) for r in words]
+    gp = build_geometric_presentation(
+        group, relators, ensure_nonseparating=bool(data.get("ensure_nonseparating"))
+    )
     report = verify_geometric_presentation(gp)
     from .schema import curve_system_to_dict
 
@@ -121,12 +107,8 @@ def cmd_geompres(args) -> int:
 
 
 def cmd_metaplectic(args) -> int:
-    try:
-        word = parse_meta_word(args.word)
-        value = evaluate_meta_word(word)
-    except (SchemaError, TwistlabError) as ex:
-        print(f"parse error: {ex}", file=sys.stderr)
-        return E_INPUT
+    word = parse_meta_word(args.word)
+    value = evaluate_meta_word(word)
     payload = {"matrix": [list(r) for r in value.matrix], "n": value.n}
     from .words import is_positive
 
@@ -154,14 +136,10 @@ def cmd_metaplectic(args) -> int:
 def cmd_cover(args) -> int:
     try:
         chi = tuple(int(x) for x in args.chi.split(","))
-        group = SurfaceGroup(args.genus)
-        cover = reidemeister_schreier_double_cover(group, chi)
-    except ZeroCharacter as ex:
-        print(f"input error: {ex}", file=sys.stderr)
-        return E_INPUT
-    except (SchemaError, TwistlabError, ValueError) as ex:
-        print(f"input error: {ex}", file=sys.stderr)
-        return E_INPUT
+    except ValueError:
+        raise SchemaError(f"--chi takes comma-separated integers, not {args.chi!r}") from None
+    group = SurfaceGroup(args.genus)
+    cover = reidemeister_schreier_double_cover(group, chi)
     payload = {
         "cover_generators": list(cover.cover_presentation.generators),
         # free, as the cover's constructor checks
@@ -170,21 +148,17 @@ def cmd_cover(args) -> int:
     }
     classes = []
     gens = group.generator_names
-    try:
-        for loop in args.loop or []:
-            w = parse_word(loop.split(), gens)
-            res = lift_loop(cover, w)
-            payload["loops"].append(
-                {
-                    "loop": loop,
-                    "chi": res.chi_value,
-                    "lift_classes": [list(c) for c in res.classes],
-                }
-            )
-            classes.extend(res.classes)
-    except (SchemaError, TwistlabError) as ex:
-        print(f"input error: {ex}", file=sys.stderr)
-        return E_INPUT
+    for loop in args.loop or []:
+        w = parse_word(loop.split(), gens)
+        res = lift_loop(cover, w)
+        payload["loops"].append(
+            {
+                "loop": loop,
+                "chi": res.chi_value,
+                "lift_classes": [list(c) for c in res.classes],
+            }
+        )
+        classes.extend(res.classes)
     if classes:
         payload["span_rank"] = rank_over_rationals(IntMatrix(classes))
     _emit(payload, args.json)
@@ -192,13 +166,7 @@ def cmd_cover(args) -> int:
 
 
 def cmd_abelianize(args) -> int:
-    try:
-        data = load_json(args.file)
-        pres = presentation_from_dict(data)
-    except (SchemaError, TwistlabError) as ex:
-        print(f"input error: {ex}", file=sys.stderr)
-        return E_INPUT
-    inv = abelianize(pres)
+    inv = abelianize(presentation_from_dict(load_json(args.file)))
     _emit(
         {
             "free_rank": inv.free_rank,
@@ -211,14 +179,10 @@ def cmd_abelianize(args) -> int:
 
 
 def cmd_fixtures(args) -> int:
-    try:
-        payload = {
-            "directory": fixtures_dir(),
-            "fixtures": {name: fixture_path(name) for name in FIXTURE_NAMES},
-        }
-    except SchemaError as ex:
-        print(f"input error: {ex}", file=sys.stderr)
-        return E_INPUT
+    payload = {
+        "directory": fixtures_dir(),
+        "fixtures": {name: fixture_path(name) for name in FIXTURE_NAMES},
+    }
     _emit(payload, args.json)
     return E_OK
 
@@ -278,7 +242,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except TwistlabError as ex:
+        print(f"input error: {ex}", file=sys.stderr)
+        return E_INPUT
 
 
 if __name__ == "__main__":

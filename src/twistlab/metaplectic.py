@@ -13,16 +13,16 @@ There is one group law (``multiply``, ``meta_inverse``, ``cocycle``,
 ``act_tilde_lambda``), and every evaluation goes through ``maslov_index``.
 Its value is the cyclic-order rule, cross-checked on every call against the
 integer closed form -sign(w12 w23 w31) of the signature of the Maslov form.
-The Fraction diagonalisation of that form (``_maslov_signature``) is kept as
-the reference route the test suite compares both against.  The positivity
-obstruction is the exponent-sum homomorphism ~SL(2,Z) -> Z, not a search.
+A word's value comes from its homological product and the exponent-sum
+homomorphism h: ~SL(2,Z) -> Z, lifted once through the group law; the same h
+is the positivity obstruction, which needs no search.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Tuple, Union
 
 from .errors import (
     BudgetExceeded,
@@ -33,6 +33,8 @@ from .errors import (
     SchemaError,
 )
 from .presentations import MAX_WORD_LETTERS
+from .surfaces import Curve
+from .words import TwistLetter, TwistWord, evaluate_homological, is_positive
 
 Mat2 = Tuple[Tuple[int, int], Tuple[int, int]]
 
@@ -92,11 +94,6 @@ class LagrangianLine:
                  (0, 1): Fraction(1, 2), (-1, 1): Fraction(3, 4)}
         return table.get(self.vector)
 
-    def angle_float(self) -> float:
-        x, y = self.vector
-        t = math.atan2(y, x)
-        return t if t >= 0 else t + math.pi
-
 
 LINE_P = LagrangianLine((1, 0))
 LINE_Q = LagrangianLine((0, 1))
@@ -127,56 +124,6 @@ def _maslov_closed_form(l1: LagrangianLine, l2: LagrangianLine, l3: LagrangianLi
     (x1, y1), (x2, y2), (x3, y3) = l1.vector, l2.vector, l3.vector
     p = (x1 * y2 - y1 * x2) * (x2 * y3 - y2 * x3) * (x3 * y1 - y3 * x1)
     return (p < 0) - (p > 0)
-
-
-def _maslov_signature(l1: LagrangianLine, l2: LagrangianLine, l3: LagrangianLine) -> int:
-    """Signature of Q(x1+x2+x3) = w(x1,x2) + w(x2,x3) + w(x3,x1) on the three
-    lines, by exact congruence diagonalization.  The reference route of the
-    test suite; nothing at runtime calls it."""
-    def w(u, v):
-        return u[0] * v[1] - u[1] * v[0]
-
-    v1, v2, v3 = l1.vector, l2.vector, l3.vector
-    h = Fraction(1, 2)
-    m = [
-        [Fraction(0), h * w(v1, v2), h * w(v3, v1)],
-        [h * w(v1, v2), Fraction(0), h * w(v2, v3)],
-        [h * w(v3, v1), h * w(v2, v3), Fraction(0)],
-    ]
-    basis = [[Fraction(1 if i == j else 0) for j in range(3)] for i in range(3)]
-
-    def form(u, v):
-        return sum(u[i] * m[i][j] * v[j] for i in range(3) for j in range(3))
-
-    sig = 0
-    vecs = [row[:] for row in basis]
-    while vecs:
-        d = next((i for i, u in enumerate(vecs) if form(u, u) != 0), None)
-        if d is None:
-            # isotropic remainder: pair off hyperbolic planes (signature 0)
-            pair = None
-            for i in range(len(vecs)):
-                for j in range(i + 1, len(vecs)):
-                    if form(vecs[i], vecs[j]) != 0:
-                        pair = (i, j)
-                        break
-                if pair:
-                    break
-            if pair is None:
-                break  # radical only
-            i, j = pair
-            u = [a + b for a, b in zip(vecs[i], vecs[j])]
-            if form(u, u) == 0:
-                break
-            vecs.append(u)
-            continue
-        u = vecs.pop(d)
-        q = form(u, u)
-        sig += 1 if q > 0 else -1
-        vecs = [
-            [a - form(u, v) / q * b for a, b in zip(v, u)] for v in vecs
-        ]
-    return sig
 
 
 def maslov_index(l1: LagrangianLine, l2: LagrangianLine, l3: LagrangianLine) -> int:
@@ -264,63 +211,60 @@ def lift_generators(k: int = 0) -> Tuple[MetaElement, MetaElement, MetaElement]:
     return a_t, b_t, j_t
 
 
-def canonical_lift(m: Mat2) -> MetaElement:
-    """Some valid lift of the matrix (unique up to the center (I, 4k))."""
-    for n in (0, 1, 2, 3, -1, -2):
-        x = MetaElement(m, n)
-        if x.is_valid():
-            return x
-    raise InvalidElement("no valid lift found")  # unreachable
-
-
-def meta_twist(homology_class: Sequence[int]) -> MetaElement:
-    """Canonical metaplectic lift of the twist about a primitive genus-1
-    class: conjugate A~_0 by any lift of a matrix taking (1,0) to the class.
-
-    Well defined because the central ambiguity of the conjugator cancels."""
-    p, q = (int(v) for v in homology_class)
-    if math.gcd(abs(p), abs(q)) != 1:
-        raise SchemaError("genus-1 twist class must be primitive")
-    # second column (r, s) with p s - q r = 1, from s0 p + t0 q = 1
-    _, s0, t0 = _ext_gcd(p, q)
-    r, s = -t0, s0
-    w: Mat2 = ((p, r), (q, s))
-    assert p * s - q * r == 1
-    phi = canonical_lift(w)
-    a0 = MetaElement(A_MATRIX, 0)
-    return multiply(multiply(phi, a0), meta_inverse(phi))
-
-
-def _ext_gcd(a: int, b: int):
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_s, s = s, old_s - q * s
-        old_t, t = t, old_t - q * t
-    if old_r < 0:
-        old_r, old_s, old_t = -old_r, -old_s, -old_t
-    return old_r, old_s, old_t
-
-
 def evaluate_meta_word(word) -> MetaElement:
-    """Ordered product of the lifted letters of a genus-1 twist word;
-    t_a maps to A~_0 = (A, 0) and t_b to B~_0 = (B, 1), general primitive
-    classes to their canonical conjugate lift; conjugators expand
-    recursively."""
+    """Value of a genus-1 twist word in ~SL(2,Z).  The twist about a primitive
+    class (p, q) lifts to the conjugate of A~_0 = (A, 0) by any lift of a
+    matrix taking (1, 0) to (p, q): t_a to A~_0, t_b to B~_0 = (B, 1).
+
+    Each lifted letter is a conjugate of A~_0, so the exponent-sum
+    homomorphism h (see ``search_positive_identity``) is 1 on it, a letter
+    t^e conjugated by any word has h = e, and the word's h is the sum of its
+    top-level exponents.  That h and the homological product fix the value
+    (``_lift``)."""
     if word.genus != 1:
         raise SchemaError("metaplectic evaluation needs a genus-1 word")
-    acc = meta_identity()
+    _check_primitive(word)
+    m = evaluate_homological(word).entries
+    return _lift(m, sum(l.exponent for l in word.letters))
+
+
+def _check_primitive(word) -> None:
+    """Every letter's class, conjugators included, must be primitive: only
+    then is its twist a conjugate of t_a."""
     for letter in word.letters:
-        base = meta_twist(letter.curve.homology)
-        m = meta_power(base, letter.exponent)
+        if math.gcd(*letter.curve.homology) != 1:
+            raise SchemaError("genus-1 twist class must be primitive")
         if letter.conjugator is not None:
-            c = evaluate_meta_word(letter.conjugator)
-            m = multiply(multiply(c, m), meta_inverse(c))
-        acc = multiply(acc, m)
-    return acc
+            _check_primitive(letter.conjugator)
+
+
+def _lift(m: Mat2, h: int) -> MetaElement:
+    """The lift of m with exponent sum h.
+
+    Euclid writes m as a product x of factors (A^q J, 1) = A~^q J~ with
+    J~ = A~ B~ A~, at most one (-I, 2) = (A~ B~)^3 and a last (A^b, 0), whose
+    exponent sums q + 3, 6 and b add up to e.  Two lifts of m differ by a
+    central (I, 4k), whose exponent sum is 12k, so the value is
+    (m, x.n + (h - e)/3).  A remainder of h - e mod 12 means that m and h do
+    not come from one word."""
+    (a, b), (c, d) = m
+    x, e = meta_identity(), 0
+    while c:
+        q = a // c
+        x = multiply(x, MetaElement(((-q, 1), (-1, 0)), 1))
+        e += q + 3
+        a, b, c, d = -c, -d, a - q * c, b - q * d
+    if a < 0:
+        x = multiply(x, MetaElement(((-1, 0), (0, -1)), 2))
+        e += 6
+        b = -b
+    x = multiply(x, MetaElement(((1, b), (0, 1)), 0))
+    e += b
+    if (h - e) % 12:
+        raise SchemaError(
+            f"homological cross-check failed: matrix {m} has no lift with exponent sum {h}"
+        )
+    return MetaElement(x.matrix, x.n + (h - e) // 3)
 
 
 def central_multiplicity(value: MetaElement) -> Optional[int]:
@@ -333,8 +277,6 @@ def central_multiplicity(value: MetaElement) -> Optional[int]:
 def boundary_multiplicity(word) -> Union[int, MetaElement]:
     """n when the word evaluates to the central element (I, 4n); otherwise
     the residual element (a normal outcome, not a fault)."""
-    from .words import is_positive
-
     if not is_positive(word):
         raise NotPositive("boundary multiplicity requires a positive word")
     val = evaluate_meta_word(word)
@@ -435,8 +377,7 @@ class Displacement:
 
     ``pi_fraction`` is an exact multiple of pi whenever both lines sit at
     standard angles (multiples of pi/4); ``cmp_half_pi`` compares the exact
-    value against any multiple of pi/2 without ever touching floats;
-    ``float_value`` is an IEEE-double approximation for display only."""
+    value against any multiple of pi/2 without ever touching floats."""
 
     line_before: LagrangianLine
     line_after: LagrangianLine
@@ -448,13 +389,6 @@ class Displacement:
         if f1 is None or f2 is None:
             return None
         return f2 - f1 - self.pi_step_diff
-
-    def float_value(self) -> float:
-        return (
-            self.line_after.angle_float()
-            - self.line_before.angle_float()
-            - self.pi_step_diff * math.pi
-        )
 
     def cmp_half_pi(self, m: int) -> int:
         """Exact sign of (displacement - m pi/2); never uses floats."""
@@ -507,23 +441,6 @@ def displacement(x: MetaElement, pt: TildeLambdaPoint) -> Displacement:
 # positivity obstruction (no positive word in conjugates of t_a is the identity)
 
 
-def conjugates_of_t_a(max_conjugator_length: int = 2) -> Tuple[MetaElement, ...]:
-    """Distinct values phi (A~_0) phi^-1 over reduced conjugator words of the
-    given maximum length in t_a, t_b and inverses, sorted by (matrix, n)."""
-    a_t = MetaElement(A_MATRIX, 0)
-    b_t = MetaElement(B_MATRIX, 1)
-    gens = {1: a_t, -1: meta_inverse(a_t), 2: b_t, -2: meta_inverse(b_t)}
-    level = [(0, meta_identity())]  # (last letter, value) of each reduced word
-    conjugators = [meta_identity()]
-    for _ in range(max_conjugator_length):
-        level = [
-            (s, multiply(phi, g)) for last, phi in level for s, g in gens.items() if last != -s
-        ]
-        conjugators.extend(phi for _, phi in level)
-    out = {multiply(multiply(phi, a_t), meta_inverse(phi)) for phi in conjugators}
-    return tuple(sorted(out, key=lambda e: (e.matrix, e.n)))
-
-
 def search_positive_identity(
     max_total_exponent: int = 12, max_conjugator_length: int = 2
 ) -> Optional[Tuple[MetaElement, ...]]:
@@ -555,9 +472,6 @@ def parse_meta_word(text: str):
 
     Atoms are a, b; parentheses group with integer powers; the pattern
     [w] atom^k [w]^-1 folds into a single conjugated letter."""
-    from .surfaces import Curve
-    from .words import TwistLetter, TwistWord
-
     curve_a = Curve("a", (1, 0), word=(1,))
     curve_b = Curve("b", (0, 1), word=(2,))
 
@@ -646,8 +560,6 @@ def parse_meta_word(text: str):
     letters = parse_seq()
     if pos != len(tokens):
         raise SchemaError("trailing tokens")
-    from .words import TwistWord
-
     return TwistWord(1, tuple(letters))
 
 

@@ -103,17 +103,18 @@ def evaluate_homological(word: TwistWord) -> IntMatrix:
 
 
 def _power(m: IntMatrix, e: int, n: int) -> IntMatrix:
+    """m^e by square-and-multiply; m^1 costs no product."""
     if e < 0:
         m = _sp_inverse(m)
         e = -e
-    out = IntMatrix.identity(n)
-    base = m
+    acc = None
     while e:
         if e & 1:
-            out = out * base
-        base = base * base
+            acc = m if acc is None else acc * m
         e >>= 1
-    return out
+        if e:
+            m = m * m
+    return IntMatrix.identity(n) if acc is None else acc
 
 
 def _sp_inverse(m: IntMatrix) -> IntMatrix:

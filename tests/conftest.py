@@ -1,7 +1,22 @@
+import math
+from fractions import Fraction
+from typing import Tuple
+
 import pytest
 
+from twistlab.errors import SchemaError
 from twistlab.invariants import Factorization
-from twistlab.metaplectic import conjugates_of_t_a, meta_identity, meta_inverse, multiply
+from twistlab.metaplectic import (
+    A_MATRIX,
+    B_MATRIX,
+    LagrangianLine,
+    Mat2,
+    MetaElement,
+    meta_identity,
+    meta_inverse,
+    meta_power,
+    multiply,
+)
 from twistlab.schema import load_fixture
 from twistlab.surfaces import Curve
 from twistlab.words import TwistLetter, TwistWord
@@ -25,6 +40,125 @@ def e1_factorization(copies: int = 1) -> Factorization:
         word=e1_word(copies),
         curves=(CURVE_A, CURVE_B),
     )
+
+
+def _maslov_signature(l1: LagrangianLine, l2: LagrangianLine, l3: LagrangianLine) -> int:
+    """Signature of Q(x1+x2+x3) = w(x1,x2) + w(x2,x3) + w(x3,x1) on the three
+    lines, by exact congruence diagonalization: the reference route that the
+    cyclic-order rule and the closed form are compared against."""
+    def w(u, v):
+        return u[0] * v[1] - u[1] * v[0]
+
+    v1, v2, v3 = l1.vector, l2.vector, l3.vector
+    h = Fraction(1, 2)
+    m = [
+        [Fraction(0), h * w(v1, v2), h * w(v3, v1)],
+        [h * w(v1, v2), Fraction(0), h * w(v2, v3)],
+        [h * w(v3, v1), h * w(v2, v3), Fraction(0)],
+    ]
+    basis = [[Fraction(1 if i == j else 0) for j in range(3)] for i in range(3)]
+
+    def form(u, v):
+        return sum(u[i] * m[i][j] * v[j] for i in range(3) for j in range(3))
+
+    sig = 0
+    vecs = [row[:] for row in basis]
+    while vecs:
+        d = next((i for i, u in enumerate(vecs) if form(u, u) != 0), None)
+        if d is None:
+            # isotropic remainder: pair off hyperbolic planes (signature 0)
+            pair = None
+            for i in range(len(vecs)):
+                for j in range(i + 1, len(vecs)):
+                    if form(vecs[i], vecs[j]) != 0:
+                        pair = (i, j)
+                        break
+                if pair:
+                    break
+            if pair is None:
+                break  # radical only
+            i, j = pair
+            u = [a + b for a, b in zip(vecs[i], vecs[j])]
+            if form(u, u) == 0:
+                break
+            vecs.append(u)
+            continue
+        u = vecs.pop(d)
+        q = form(u, u)
+        sig += 1 if q > 0 else -1
+        vecs = [
+            [a - form(u, v) / q * b for a, b in zip(v, u)] for v in vecs
+        ]
+    return sig
+
+
+def canonical_lift(m: Mat2) -> MetaElement:
+    """Some valid lift of the matrix (unique up to the center (I, 4k))."""
+    for n in (0, 1, 2, 3, -1, -2):
+        x = MetaElement(m, n)
+        if x.is_valid():
+            return x
+    raise AssertionError("no valid lift found")
+
+
+def _ext_gcd(a: int, b: int):
+    old_r, r = a, b
+    old_s, s = 1, 0
+    old_t, t = 0, 1
+    while r:
+        q = old_r // r
+        old_r, r = r, old_r - q * r
+        old_s, s = s, old_s - q * s
+        old_t, t = t, old_t - q * t
+    if old_r < 0:
+        old_r, old_s, old_t = -old_r, -old_s, -old_t
+    return old_r, old_s, old_t
+
+
+def meta_twist(homology_class) -> MetaElement:
+    """Lift of the twist about a primitive genus-1 class: A~_0 conjugated by
+    a lift of a matrix taking (1,0) to the class.  Well defined because the
+    central ambiguity of the conjugator cancels."""
+    p, q = (int(v) for v in homology_class)
+    if math.gcd(p, q) != 1:
+        raise SchemaError("genus-1 twist class must be primitive")
+    # second column (r, s) with p s - q r = 1, from s0 p + t0 q = 1
+    _, s0, t0 = _ext_gcd(p, q)
+    w: Mat2 = ((p, -t0), (q, s0))
+    assert p * s0 + q * t0 == 1
+    phi = canonical_lift(w)
+    return multiply(multiply(phi, MetaElement(A_MATRIX, 0)), meta_inverse(phi))
+
+
+def meta_word_oracle(word) -> MetaElement:
+    """Per-letter route to a genus-1 word's metaplectic value: the ordered
+    product of the lifted letters, powers by ``meta_power``, conjugators
+    evaluated recursively and conjugated through the group law."""
+    acc = meta_identity()
+    for letter in word.letters:
+        m = meta_power(meta_twist(letter.curve.homology), letter.exponent)
+        if letter.conjugator is not None:
+            c = meta_word_oracle(letter.conjugator)
+            m = multiply(multiply(c, m), meta_inverse(c))
+        acc = multiply(acc, m)
+    return acc
+
+
+def conjugates_of_t_a(max_conjugator_length: int = 2) -> Tuple[MetaElement, ...]:
+    """Distinct values phi (A~_0) phi^-1 over reduced conjugator words of the
+    given maximum length in t_a, t_b and inverses, sorted by (matrix, n)."""
+    a_t = MetaElement(A_MATRIX, 0)
+    b_t = MetaElement(B_MATRIX, 1)
+    gens = {1: a_t, -1: meta_inverse(a_t), 2: b_t, -2: meta_inverse(b_t)}
+    level = [(0, meta_identity())]  # (last letter, value) of each reduced word
+    conjugators = [meta_identity()]
+    for _ in range(max_conjugator_length):
+        level = [
+            (s, multiply(phi, g)) for last, phi in level for s, g in gens.items() if last != -s
+        ]
+        conjugators.extend(phi for _, phi in level)
+    out = {multiply(multiply(phi, a_t), meta_inverse(phi)) for phi in conjugators}
+    return tuple(sorted(out, key=lambda e: (e.matrix, e.n)))
 
 
 def positive_identity_oracle(max_total_exponent: int, max_conjugator_length: int):

@@ -11,7 +11,7 @@ import itertools
 import random
 from contextlib import contextmanager
 
-from conftest import e1_factorization, e1_word, positive_identity_oracle
+from conftest import _maslov_signature, e1_factorization, e1_word, positive_identity_oracle
 from twistlab.exact import F2Matrix, IntMatrix, rank_over_rationals, solve_f2
 from twistlab.invariants import (
     fiber_sum,
@@ -36,7 +36,6 @@ from twistlab.metaplectic import (
     search_positive_identity,
     szpiro_check,
     _maslov_cyclic,
-    _maslov_signature,
 )
 from twistlab.presentations import (
     AbelianInvariants,

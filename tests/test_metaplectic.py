@@ -1,10 +1,22 @@
 import itertools
+import json
+import math
+import os
 import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from conftest import CURVE_A, e1_word, positive_identity_oracle
+from conftest import (
+    CURVE_A,
+    _maslov_signature,
+    conjugates_of_t_a,
+    e1_word,
+    meta_twist,
+    meta_word_oracle,
+    positive_identity_oracle,
+)
 from twistlab.errors import InvalidElement, InvalidPoint, NotCentral, SchemaError
 from twistlab.metaplectic import (
     A_MATRIX,
@@ -19,7 +31,6 @@ from twistlab.metaplectic import (
     act_tilde_lambda,
     boundary_multiplicity,
     cocycle,
-    conjugates_of_t_a,
     displacement,
     evaluate_meta_word,
     lift_generators,
@@ -28,15 +39,15 @@ from twistlab.metaplectic import (
     meta_identity,
     meta_inverse,
     meta_power,
-    meta_twist,
     multiply,
     parse_meta_word,
     search_positive_identity,
     szpiro_check,
     _maslov_closed_form,
     _maslov_cyclic,
-    _maslov_signature,
 )
+from twistlab.schema import load_fixture
+from twistlab.surfaces import Curve
 from twistlab.words import TwistLetter, TwistWord
 
 LINE_PQ = LagrangianLine((1, 1))
@@ -247,6 +258,74 @@ class TestMetaWords:
             szpiro_check(TwistWord(1, (TwistLetter(CURVE_A),)))
 
 
+GOLDEN_CASES = os.path.join(os.path.dirname(__file__), "golden", "cases.json")
+
+
+def golden_meta_words():
+    with open(GOLDEN_CASES) as fh:
+        cases = json.load(fh)
+    return sorted(c["argv"][1] for c in cases.values() if c["argv"][0] == "metaplectic")
+
+
+class TestWordValue:
+    """The homological product with the exponent-sum lift gives the value of
+    the per-letter cocycle route."""
+
+    @pytest.mark.parametrize(
+        "text",
+        golden_meta_words()
+        + [f"(a b)^{6 * n}" for n in range(1, 5)]
+        + [f"(a b a)^{4 * n}" for n in range(1, 5)]
+        + ["a^99999999999"],
+    )
+    def test_matches_per_letter_route(self, text):
+        w = parse_meta_word(text)
+        assert evaluate_meta_word(w) == meta_word_oracle(w)
+
+    def test_fixture_word(self):
+        w = load_fixture("E1").word
+        assert evaluate_meta_word(w) == meta_word_oracle(w) == MetaElement(IDENTITY, 4)
+
+    def test_central_powers(self):
+        for n in range(1, 5):
+            for text in (f"(a b)^{6 * n}", f"(a b a)^{4 * n}"):
+                assert evaluate_meta_word(parse_meta_word(text)) == MetaElement(IDENTITY, 4 * n)
+
+    @pytest.mark.parametrize("homology", [(5, 0), (0, 0), (2, -4)])
+    def test_rejects_non_primitive_class(self, homology):
+        curve = Curve("c", homology, separating=homology == (0, 0))
+        word = TwistWord(1, (TwistLetter(curve),))
+        with pytest.raises(SchemaError, match="must be primitive"):
+            evaluate_meta_word(word)
+        # the same letter as a conjugator letter three levels down
+        for _ in range(3):
+            word = TwistWord(1, (TwistLetter(CURVE_A, conjugator=word),))
+        with pytest.raises(SchemaError, match="must be primitive"):
+            evaluate_meta_word(word)
+
+
+primitive_curves = (
+    st.tuples(st.integers(-7, 7), st.integers(-7, 7))
+    .filter(lambda c: math.gcd(*c) == 1)
+    .map(lambda c: Curve(f"c{c}", c))
+)
+exponents = st.integers(-12, 12).filter(bool)
+
+
+def twist_words(depth: int, max_letters: int):
+    conjugators = st.none()
+    if depth:
+        conjugators = st.none() | twist_words(depth - 1, 3)
+    letters = st.builds(TwistLetter, primitive_curves, exponents, conjugators)
+    return st.lists(letters, max_size=max_letters).map(lambda ls: TwistWord(1, tuple(ls)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(twist_words(2, 10))
+def test_word_value_matches_per_letter_route(word):
+    assert evaluate_meta_word(word) == meta_word_oracle(word)
+
+
 class TestParser:
     def test_power_groups(self):
         w = parse_meta_word("(a b)^6")
@@ -339,17 +418,6 @@ class TestDisplacement:
             for pt in pts:
                 d = displacement(t, pt)
                 assert d.in_interval_closed(-2, 0), (t, pt)
-
-    def test_float_agrees_with_exact(self):
-        a, b, _ = lift_generators(0)
-        for x in (a, b, multiply(a, b), MetaElement(IDENTITY, 4)):
-            for pt in (TildeLambdaPoint(LINE_Q, 1), TildeLambdaPoint(LINE_PQ, 1)):
-                d = displacement(x, pt)
-                f = d.pi_fraction()
-                if f is not None:
-                    import math
-
-                    assert abs(d.float_value() - float(f) * math.pi) < 1e-12
 
 
 class TestPositivityObstruction:

@@ -301,6 +301,18 @@ class TestOneEvaluation:
         assert main(["invariants", fixture_path("E1"), "--json"]) == 1
         assert "maslov cross-check failed" in capsys.readouterr().err
 
+    def test_homological_cross_check_runs(self, monkeypatch, capsys):
+        # a matrix off by one factor of A has no lift with the word's
+        # exponent sum
+        import twistlab.metaplectic as meta
+        from twistlab.exact import IntMatrix
+
+        original = meta.evaluate_homological
+        off = IntMatrix(meta.A_MATRIX)
+        monkeypatch.setattr(meta, "evaluate_homological", lambda word: original(word) * off)
+        assert main(["invariants", fixture_path("E1"), "--json"]) == 1
+        assert "homological cross-check failed" in capsys.readouterr().err
+
 
 class TestInputErrors:
     """Malformed input ends in exit 1 with a message, never a traceback."""
@@ -333,6 +345,9 @@ class TestInputErrors:
     def test_cover_malformed_loop(self, capsys):
         argv = ["cover", "--genus", "1", "--chi", "1,0", "--loop", "a1^x"]
         assert self.run(argv, capsys) == 1
+
+    def test_cover_malformed_chi(self, capsys):
+        assert self.run(["cover", "--genus", "1", "--chi", "1,x"], capsys) == 1
 
     def test_cover_word_power_budget(self, capsys):
         # a power is checked against the word budget before it is expanded
@@ -388,9 +403,25 @@ class TestInputErrors:
         start = time.perf_counter()
         assert main(["metaplectic", word]) == 1
         err = capsys.readouterr().err
-        assert "parse error" in err
+        assert "input error" in err
         assert "Traceback" not in err
         assert time.perf_counter() - start < 1.0
+
+    @pytest.mark.parametrize("where", ["letter", "conjugator"])
+    def test_non_primitive_genus1_class(self, tmp_path, capsys, where):
+        data = json.load(open(fixture_path("E1")))
+        if where == "letter":
+            data["curves"][0]["homology"] = [5, 0]
+            del data["curves"][0]["word"]
+        else:
+            data["curves"].append({"name": "c", "homology": [2, 0], "separating": False})
+            data["word"][0]["conjugator"] = [{"curve": "c", "exponent": 1}]
+        path = tmp_path / "e1.json"
+        path.write_text(json.dumps(data))
+        assert main(["invariants", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert "must be primitive" in err
+        assert "Traceback" not in err
 
     def test_geompres_boolean_genus(self, tmp_path, capsys):
         path = tmp_path / "p.json"

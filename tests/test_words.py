@@ -64,6 +64,20 @@ class TestEvaluate:
         assert c * c_inv == IntMatrix.identity(2)
         assert evaluate_homological(w) == c * (A * A * A) * c_inv
 
+    @pytest.mark.parametrize("exponent", [-4, -1, 2, 3, 5])
+    def test_letter_power(self, exponent):
+        # a letter's power against repeated products, in genus 1 and 2
+        for genus, curve in ((1, CURVE_A), (2, Curve("v4", V_CLASSES["v4"]))):
+            t = twist_transvection(curve, genus)
+            repeated = IntMatrix.identity(2 * genus)
+            for _ in range(abs(exponent)):
+                repeated = repeated * t
+            value = evaluate_homological(TwistWord(genus, (TwistLetter(curve, exponent),)))
+            if exponent > 0:
+                assert value == repeated
+            else:
+                assert (value * repeated).is_identity()
+
     def test_brute_force_small_words(self):
         # every word of length <= 6 in t_a, t_b matches direct multiplication
         import itertools
