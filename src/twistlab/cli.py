@@ -23,6 +23,7 @@ from .presentations import (
 )
 from .schema import (
     FIXTURE_NAMES,
+    check_genus,
     factorization_from_dict,
     fixture_path,
     fixtures_dir,
@@ -73,10 +74,9 @@ def cmd_invariants(args) -> int:
 
 def cmd_geompres(args) -> int:
     data = load_json(args.file)
-    genus = data.get("genus") if isinstance(data, dict) else None
-    if type(genus) is not int or genus < 1:  # bool is an int subclass
-        raise SchemaError("need a positive integer genus")
-    group = SurfaceGroup(genus)
+    if not isinstance(data, dict):
+        raise SchemaError("a geometric presentation input must be an object")
+    group = SurfaceGroup(check_genus(data.get("genus"), "genus", 1))
     gens = group.generator_names
     words = data.get("relators", [])
     if not isinstance(words, list):
@@ -138,7 +138,7 @@ def cmd_cover(args) -> int:
         chi = tuple(int(x) for x in args.chi.split(","))
     except ValueError:
         raise SchemaError(f"--chi takes comma-separated integers, not {args.chi!r}") from None
-    group = SurfaceGroup(args.genus)
+    group = SurfaceGroup(check_genus(args.genus, "--genus", 1))
     cover = reidemeister_schreier_double_cover(group, chi)
     payload = {
         "cover_generators": list(cover.cover_presentation.generators),

@@ -43,13 +43,6 @@ class IntMatrix:
     def zeros(rows: int, cols: int) -> "IntMatrix":
         return IntMatrix([[0] * cols for _ in range(rows)])
 
-    def __getitem__(self, ij):
-        i, j = ij
-        return self.entries[i][j]
-
-    def row(self, i: int):
-        return self.entries[i]
-
     def __eq__(self, other):
         return isinstance(other, IntMatrix) and self.entries == other.entries
 
@@ -65,13 +58,6 @@ class IntMatrix:
         b_cols = list(zip(*other.entries)) if other.entries else []
         return IntMatrix(
             [[sum(a * b for a, b in zip(row, col)) for col in b_cols] for row in self.entries]
-        )
-
-    def __add__(self, other: "IntMatrix") -> "IntMatrix":
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise DimensionMismatch("shape mismatch")
-        return IntMatrix(
-            [[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(self.entries, other.entries)]
         )
 
     def __neg__(self) -> "IntMatrix":

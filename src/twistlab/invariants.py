@@ -32,8 +32,8 @@ from .presentations import (
     abelianize,
     quotient_by_normal_closure,
 )
-from .surfaces import Curve, is_symplectic
-from .words import TwistWord, _sp_inverse, evaluate_homological, is_positive
+from .surfaces import Curve, is_symplectic, symplectic_inverse
+from .words import TwistWord, evaluate_homological, is_positive
 
 RELATION_CAVEAT = (
     "relation verified homologically; mapping-class-group identity assumed as input"
@@ -93,8 +93,8 @@ class Factorization:
                 return m.is_identity(), m
             raise MissingCommutatorData("base genus > 0 needs commutator data")
         for x, y in self.commutator_part:
-            target = target * (x * y * _sp_inverse(x) * _sp_inverse(y))
-        residual = m * _sp_inverse(target)
+            target = target * (x * y * symplectic_inverse(x) * symplectic_inverse(y))
+        residual = m * symplectic_inverse(target)
         return residual.is_identity(), residual
 
 

@@ -250,7 +250,7 @@ def _lift(m: Mat2, h: int) -> MetaElement:
     (a, b), (c, d) = m
     x, e = meta_identity(), 0
     while c:
-        q = a // c
+        q = (2 * a + c) // (2 * c)  # nearest quotient: |c| at least halves
         x = multiply(x, MetaElement(((-q, 1), (-1, 0)), 1))
         e += q + 3
         a, b, c, d = -c, -d, a - q * c, b - q * d

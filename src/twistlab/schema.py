@@ -11,7 +11,7 @@ import json
 import os
 from typing import List
 
-from .errors import SchemaError
+from .errors import BudgetExceeded, SchemaError
 from .exact import IntMatrix
 from .invariants import Factorization
 from .presentations import FinitePresentation, format_word, parse_word
@@ -23,9 +23,24 @@ _FIXTURE_ENV = "TWISTLAB_FIXTURES"
 FIXTURE_NAMES = ("E1", "genus2-paper", "genus3-b1", "wajnryb-map21", "sl2z-amalgam")
 
 
+# largest genus accepted anywhere: H1 is carried as dense 2g x 2g matrices
+MAX_GENUS = 1000
+
+
 def _require(cond: bool, msg: str):
     if not cond:
         raise SchemaError(msg)
+
+
+def check_genus(g, what: str, least: int = 0) -> int:
+    """g if it is an int in [least, MAX_GENUS], checked before any work that
+    grows with it; BudgetExceeded above the budget."""
+    # type() rather than isinstance(): JSON true and false load as bools,
+    # which are ints
+    _require(type(g) is int and g >= least, f"{what} must be an int >= {least}")
+    if g > MAX_GENUS:
+        raise BudgetExceeded(f"{what} {g} exceeds the genus budget {MAX_GENUS}")
+    return g
 
 
 def _int_matrix(data, what: str) -> IntMatrix:
@@ -46,15 +61,7 @@ def factorization_to_dict(f: Factorization) -> dict:
     return {
         "fiber_genus": f.fiber_genus,
         "base_genus": f.base_genus,
-        "curves": [
-            {
-                "name": c.name,
-                "homology": list(c.homology),
-                "separating": c.separating,
-                **({"word": format_word(c.word, gens)} if c.word is not None else {}),
-            }
-            for c in f.curves
-        ],
+        "curves": [_curve_to_dict(c, gens) for c in f.curves],
         "word": [_letter_to_dict(l) for l in f.word.letters],
         **(
             {
@@ -89,41 +96,21 @@ def factorization_from_dict(data: dict) -> Factorization:
         _require(key in data, f"missing key {key!r}")
     for key in ("curves", "word"):
         _require(isinstance(data[key], list), f"{key!r} must be a list")
-    g = data["fiber_genus"]
-    # type() rather than isinstance(): JSON true and false load as bools,
-    # which are ints
-    _require(type(g) is int and g >= 0, "fiber_genus must be a non-negative int")
+    g = check_genus(data["fiber_genus"], "fiber_genus")
     k = data["base_genus"]
     _require(type(k) is int and k >= 0, "base_genus must be a non-negative int")
     gens = _surface_generators(g)
 
     curves = {}
     for cd in data["curves"]:
-        _require(isinstance(cd, dict), "curve entries must be objects")
-        name = cd.get("name")
-        _require(isinstance(name, str) and name, "curve needs a name")
-        _require(name not in curves, f"duplicate curve {name!r}")
-        hom = cd.get("homology")
-        _require(
-            isinstance(hom, list) and len(hom) == 2 * g,
-            f"curve {name}: homology must have length {2 * g}",
-        )
-        word = None
-        if "word" in cd and cd["word"] is not None:
-            word = parse_word(cd["word"], gens)
-        try:
-            curves[name] = Curve(
-                name,
-                tuple(int(x) for x in hom),
-                separating=bool(cd.get("separating", all(x == 0 for x in hom))),
-                word=word,
-            )
-        except Exception as ex:
-            raise SchemaError(f"curve {name}: {ex}")
+        c = _curve_from_dict(cd, g, gens)
+        _require(c.name not in curves, f"duplicate curve {c.name!r}")
+        curves[c.name] = c
 
     def letter_from(d: dict) -> TwistLetter:
         _require(isinstance(d, dict), "word letters must be objects")
-        _require(d.get("curve") in curves, f"letter references unknown curve {d.get('curve')!r}")
+        name = d.get("curve")
+        _require(isinstance(name, str) and name in curves, f"letter references unknown curve {name!r}")
         exp = d.get("exponent", 1)
         _require(type(exp) is int and exp != 0, "letter exponent must be a nonzero int")
         conj = None
@@ -134,7 +121,7 @@ def factorization_from_dict(data: dict) -> Factorization:
         )
         if conj_data:
             conj = TwistWord(g, tuple(letter_from(x) for x in conj_data))
-        return TwistLetter(curves[d["curve"]], exp, conjugator=conj)
+        return TwistLetter(curves[name], exp, conjugator=conj)
 
     word = TwistWord(g, tuple(letter_from(d) for d in data["word"]))
 
@@ -191,36 +178,58 @@ def curve_system_to_dict(s: CurveSystem) -> dict:
     gens = _surface_generators(s.surface.genus)
     return {
         "genus": s.surface.genus,
-        "curves": [
-            {
-                "name": c.name,
-                "homology": list(c.homology),
-                "separating": c.separating,
-                **({"word": format_word(c.word, gens)} if c.word is not None else {}),
-            }
-            for c in s.curves
-        ],
+        "curves": [_curve_to_dict(c, gens) for c in s.curves],
         "intersections": [[a, b, k] for a, b, k in s.intersections],
     }
 
 
 def curve_system_from_dict(data: dict) -> CurveSystem:
-    g = data.get("genus")
-    _require(type(g) is int and g >= 0, "genus must be a non-negative int")
+    _require(isinstance(data, dict), "curve system must be an object")
+    g = check_genus(data.get("genus"), "genus")
     gens = _surface_generators(g)
-    curves = []
-    for cd in data.get("curves", []):
-        word = parse_word(cd["word"], gens) if cd.get("word") else None
-        curves.append(
-            Curve(
-                cd["name"],
-                tuple(cd["homology"]),
-                separating=bool(cd.get("separating", all(x == 0 for x in cd["homology"]))),
-                word=word,
-            )
-        )
-    inter = tuple((a, b, int(k)) for a, b, k in data.get("intersections", []))
-    return CurveSystem(SurfaceData(g), tuple(curves), inter)
+    curves, inter = data.get("curves", []), data.get("intersections", [])
+    _require(isinstance(curves, list), "'curves' must be a list")
+    _require(
+        isinstance(inter, list)
+        and all(
+            isinstance(t, list) and len(t) == 3 and isinstance(t[0], str)
+            and isinstance(t[1], str) and type(t[2]) is int
+            for t in inter
+        ),
+        "intersections must be a list of [name, name, int] triples",
+    )
+    return CurveSystem(
+        SurfaceData(g),
+        tuple(_curve_from_dict(cd, g, gens) for cd in curves),
+        tuple(tuple(t) for t in inter),
+    )
+
+
+# ---------------------------------------------------------------------------
+# curves
+
+
+def _curve_from_dict(cd, genus: int, gens: List[str]) -> Curve:
+    _require(isinstance(cd, dict), "curve entries must be objects")
+    name = cd.get("name")
+    _require(isinstance(name, str) and name, "curve needs a name")
+    hom = cd.get("homology")
+    _require(
+        isinstance(hom, list) and len(hom) == 2 * genus and all(type(x) is int for x in hom),
+        f"curve {name}: homology must be a list of {2 * genus} ints",
+    )
+    separating = cd.get("separating", not any(hom))
+    _require(type(separating) is bool, f"curve {name}: separating must be true or false")
+    word = cd.get("word")
+    # Curve's own checks name the curve in their messages
+    return Curve(name, tuple(hom), separating, None if word is None else parse_word(word, gens))
+
+
+def _curve_to_dict(c: Curve, gens: List[str]) -> dict:
+    d = {"name": c.name, "homology": list(c.homology), "separating": c.separating}
+    if c.word is not None:
+        d["word"] = format_word(c.word, gens)
+    return d
 
 
 # ---------------------------------------------------------------------------

@@ -60,6 +60,16 @@ def symplectic_j(genus: int) -> IntMatrix:
     return IntMatrix(m)
 
 
+def symplectic_inverse(m: IntMatrix) -> IntMatrix:
+    """M^-1 = J^-1 M^T J for symplectic M.  J is a signed permutation, so
+    entry (i, j) is (-1)^(i+j) M[j^1][i^1] and no product is needed."""
+    e = m.entries
+    return IntMatrix(
+        [[-e[j ^ 1][i ^ 1] if (i ^ j) & 1 else e[j ^ 1][i ^ 1] for j in range(m.cols)]
+         for i in range(m.rows)]
+    )
+
+
 def intersection_pairing(x: Sequence[int], y: Sequence[int]) -> int:
     """<x, y> for the standard form; <a_i, b_i> = +1."""
     if len(x) != len(y) or len(x) % 2:
@@ -70,8 +80,14 @@ def intersection_pairing(x: Sequence[int], y: Sequence[int]) -> int:
     return total
 
 
+def pairing_row(c: Sequence[int]) -> Tuple[int, ...]:
+    """The row c^T J = (-c2, c1, -c4, c3, ...), so that <c, x> = c^T J x."""
+    return tuple(x for i in range(0, len(c), 2) for x in (-c[i + 1], c[i]))
+
+
 def twist_transvection(curve, genus: Optional[int] = None) -> IntMatrix:
-    """Matrix of the right twist about the curve on H1: x -> x - <x, c> c.
+    """Matrix of the right twist about the curve on H1: x -> x - <x, c> c,
+    that is I + c c^T J.
 
     Accepts a Curve or a raw class.  A separating curve (zero class) acts
     trivially.
@@ -82,11 +98,8 @@ def twist_transvection(curve, genus: Optional[int] = None) -> IntMatrix:
         raise DimensionMismatch("class length != 2g")
     if n % 2:
         raise DimensionMismatch("odd class length")
-    j = symplectic_j(n // 2)
-    ctj = tuple(sum(c[i] * j[i, k] for i in range(n)) for k in range(n))
-    return IntMatrix(
-        [[(1 if i == k else 0) + c[i] * ctj[k] for k in range(n)] for i in range(n)]
-    )
+    u = pairing_row(c)
+    return IntMatrix([[int(i == k) + c[i] * u[k] for k in range(n)] for i in range(n)])
 
 
 def is_symplectic(m: IntMatrix) -> bool:

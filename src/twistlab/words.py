@@ -13,7 +13,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from .errors import NotAdjacent, NotARelation, NotConnected, NotPositive
 from .exact import IntMatrix
-from .surfaces import Curve, intersection_pairing, twist_transvection
+from .surfaces import Curve, intersection_pairing, pairing_row
 
 
 @dataclass(frozen=True)
@@ -88,42 +88,26 @@ class TwistWord:
 
 
 def evaluate_homological(word: TwistWord) -> IntMatrix:
-    """Product of transvection powers in reading order, conjugators expanded
-    recursively."""
+    """Product of the letters' transvection powers in reading order.
+
+    By the Picard-Lefschetz formula T_c^e = I + e c c^T J (as <c, c> = 0),
+    and phi T_c phi^-1 = T_{phi(c)}, so a letter, conjugated or not, is one
+    rank-one update of the running product's rows: r <- r + e (r . c) c^T J.
+    """
     n = 2 * word.genus
-    result = IntMatrix.identity(n)
+    rows = [[int(i == j) for j in range(n)] for i in range(n)]
     for l in word.letters:
-        t = twist_transvection(l.curve, word.genus)
-        m = _power(t, l.exponent, n)
+        c = l.curve.homology
         if l.conjugator is not None:
-            c = evaluate_homological(l.conjugator)
-            m = c * m * _sp_inverse(c)
-        result = result * m
-    return result
-
-
-def _power(m: IntMatrix, e: int, n: int) -> IntMatrix:
-    """m^e by square-and-multiply; m^1 costs no product."""
-    if e < 0:
-        m = _sp_inverse(m)
-        e = -e
-    acc = None
-    while e:
-        if e & 1:
-            acc = m if acc is None else acc * m
-        e >>= 1
-        if e:
-            m = m * m
-    return IntMatrix.identity(n) if acc is None else acc
-
-
-def _sp_inverse(m: IntMatrix) -> IntMatrix:
-    # symplectic inverse: M^-1 = J^-1 M^T J
-    from .surfaces import symplectic_j
-
-    j = symplectic_j(m.rows // 2)
-    jinv = -j
-    return jinv * m.transpose() * j
+            c = evaluate_homological(l.conjugator).apply(c)
+        support = [(i, x) for i, x in enumerate(c) if x]
+        u = [(k, l.exponent * x) for k, x in enumerate(pairing_row(c)) if x]
+        for r in rows:
+            s = sum(r[i] * x for i, x in support)
+            if s:
+                for k, x in u:
+                    r[k] += s * x
+    return IntMatrix(rows)
 
 
 def is_positive(word: TwistWord) -> bool:

@@ -5,6 +5,7 @@ from typing import Tuple
 import pytest
 
 from twistlab.errors import SchemaError
+from twistlab.exact import IntMatrix
 from twistlab.invariants import Factorization
 from twistlab.metaplectic import (
     A_MATRIX,
@@ -18,7 +19,7 @@ from twistlab.metaplectic import (
     multiply,
 )
 from twistlab.schema import load_fixture
-from twistlab.surfaces import Curve
+from twistlab.surfaces import Curve, symplectic_j, twist_transvection
 from twistlab.words import TwistLetter, TwistWord
 
 CURVE_A = Curve("a", (1, 0), word=(1,))
@@ -141,6 +142,34 @@ def meta_word_oracle(word) -> MetaElement:
             c = meta_word_oracle(letter.conjugator)
             m = multiply(multiply(c, m), meta_inverse(c))
         acc = multiply(acc, m)
+    return acc
+
+
+def evaluate_homological_oracle(word) -> IntMatrix:
+    """Per-letter route to a word's homological value: each letter's
+    transvection matrix, powers by square-and-multiply, conjugators
+    evaluated recursively and applied as c m c^-1 with c^-1 = (-J) c^T J."""
+    j = symplectic_j(word.genus)
+
+    def inverse(m: IntMatrix) -> IntMatrix:
+        return (-j) * m.transpose() * j
+
+    acc = IntMatrix.identity(2 * word.genus)
+    for letter in word.letters:
+        t = twist_transvection(letter.curve, word.genus)
+        if letter.exponent < 0:
+            t = inverse(t)
+        m, e = IntMatrix.identity(2 * word.genus), abs(letter.exponent)
+        while e:
+            if e & 1:
+                m = m * t
+            e >>= 1
+            if e:
+                t = t * t
+        if letter.conjugator is not None:
+            c = evaluate_homological_oracle(letter.conjugator)
+            m = c * m * inverse(c)
+        acc = acc * m
     return acc
 
 

@@ -48,7 +48,7 @@ from twistlab.metaplectic import (
 )
 from twistlab.schema import load_fixture
 from twistlab.surfaces import Curve
-from twistlab.words import TwistLetter, TwistWord
+from twistlab.words import TwistLetter, TwistWord, evaluate_homological
 
 LINE_PQ = LagrangianLine((1, 1))
 
@@ -281,6 +281,31 @@ class TestWordValue:
     def test_matches_per_letter_route(self, text):
         w = parse_meta_word(text)
         assert evaluate_meta_word(w) == meta_word_oracle(w)
+
+    @pytest.mark.parametrize(
+        "text",
+        ["a b^100000 (a b)^5", "a^1000000000 b", "b^-100000 a^77777 b^3", "a^-1000000000 b^999999999 a"],
+    )
+    def test_lift_steps_logarithmic(self, monkeypatch, text):
+        # nearest-quotient Euclid: |c| at least halves per step, so the lift
+        # makes at most (bit length of the largest entry) + 3 products; floor
+        # quotients shrank |c| by 1 per step on the first word's matrix
+        # ((-99998, 99999), (-99999, 100000))
+        import twistlab.metaplectic as meta
+
+        w = parse_meta_word(text)
+        m = evaluate_homological(w).entries
+        budget = [max(abs(x) for row in m for x in row).bit_length() + 3]
+
+        def counted(x, y):
+            budget[0] -= 1
+            assert budget[0] >= 0, "too many products in the lift"
+            return multiply(x, y)
+
+        monkeypatch.setattr(meta, "multiply", counted)
+        value = meta._lift(m, sum(l.exponent for l in w.letters))
+        monkeypatch.undo()
+        assert value == evaluate_meta_word(w) == meta_word_oracle(w)
 
     def test_fixture_word(self):
         w = load_fixture("E1").word

@@ -5,10 +5,12 @@ import time
 import pytest
 
 from twistlab.cli import main
-from twistlab.errors import SchemaError
+from twistlab.errors import BudgetExceeded, SchemaError
 from twistlab.invariants import Factorization
 from twistlab.schema import (
     FIXTURE_NAMES,
+    MAX_GENUS,
+    check_genus,
     curve_system_from_dict,
     curve_system_to_dict,
     factorization_from_dict,
@@ -88,6 +90,33 @@ class TestRoundTrips:
         s2 = curve_system_from_dict(json.loads(json.dumps(d)))
         assert s2.curves == s.curves
         assert s2.intersections == s.intersections
+
+    @pytest.mark.parametrize(
+        "data",
+        [
+            [1],
+            {"genus": 1, "curves": [{"homology": [1, 0]}]},
+            {"genus": 1, "curves": [5]},
+            {"genus": 1, "curves": 5},
+            {"genus": 1, "curves": [{"name": "a", "homology": [1.5, 0]}]},
+            {"genus": 1, "curves": [{"name": "a", "homology": [1, 0], "separating": "x"}]},
+            {"genus": 1, "curves": [{"name": "a", "homology": [1, 0]}], "intersections": [["a", "a", "x"]]},
+            {"genus": 1, "curves": [{"name": "a", "homology": [1, 0]}], "intersections": [["a", "a"]]},
+            {"genus": 1, "curves": [{"name": "a", "homology": [1, 0]}], "intersections": [[[], "a", 0]]},
+            {"genus": 1, "curves": [{"name": "a", "homology": [1, 0]}], "intersections": 5},
+            {"genus": MAX_GENUS + 1},
+        ],
+    )
+    def test_curve_system_errors(self, data):
+        with pytest.raises(SchemaError):
+            curve_system_from_dict(data)
+
+    def test_genus_budget_bounds(self):
+        assert check_genus(MAX_GENUS, "genus") == MAX_GENUS
+        with pytest.raises(BudgetExceeded):
+            check_genus(MAX_GENUS + 1, "genus")
+        with pytest.raises(SchemaError):
+            check_genus(0, "genus", 1)
 
     def test_schema_errors(self):
         with pytest.raises(SchemaError):
@@ -294,6 +323,17 @@ class TestOneEvaluation:
         assert out["n"] == 0
         assert out["central"] is False
 
+    def test_huge_fixture_exponent_finishes(self, tmp_path, capsys):
+        # the lift takes logarithmically many steps in the matrix entries
+        data = json.load(open(fixture_path("E1")))
+        data["word"][0]["exponent"] = 10**9
+        path = tmp_path / "e1.json"
+        path.write_text(json.dumps(data))
+        start = time.perf_counter()
+        main(["invariants", str(path), "--json"])
+        assert "not central" in capsys.readouterr().err
+        assert time.perf_counter() - start < 1.0
+
     def test_maslov_cross_check_runs(self, monkeypatch, capsys):
         import twistlab.metaplectic as meta
 
@@ -422,6 +462,52 @@ class TestInputErrors:
         err = capsys.readouterr().err
         assert "must be primitive" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("name", [[], {}, 5, None])
+    def test_letter_curve_not_a_name(self, tmp_path, capsys, name):
+        data = json.load(open(fixture_path("E1")))
+        data["word"][3]["curve"] = name
+        path = tmp_path / "e1.json"
+        path.write_text(json.dumps(data))
+        assert self.run(["invariants", str(path)], capsys) == 1
+
+    @pytest.mark.parametrize("entry", [1.5, True, "1", None])
+    def test_homology_entries_are_ints(self, tmp_path, capsys, entry):
+        data = json.load(open(fixture_path("E1")))
+        data["curves"][0]["homology"] = [entry, 0]
+        del data["curves"][0]["word"]
+        path = tmp_path / "e1.json"
+        path.write_text(json.dumps(data))
+        assert self.run(["verify", str(path)], capsys) == 1
+
+    def test_curve_error_named_once(self, tmp_path, capsys):
+        data = json.load(open(fixture_path("E1")))
+        data["curves"][0]["separating"] = True
+        path = tmp_path / "e1.json"
+        path.write_text(json.dumps(data))
+        code = main(["verify", str(path)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.count("curve a:") == 1, err
+
+    @pytest.mark.parametrize(
+        "where, value",
+        [("genus", 10**9), ("fiber_genus", 10**9), ("--genus", 10**9), ("fiber_genus", MAX_GENUS + 1)],
+    )
+    def test_genus_budget(self, tmp_path, capsys, where, value):
+        # checked before any per-generator work
+        path = tmp_path / "in.json"
+        if where == "genus":
+            path.write_text(json.dumps({"genus": value, "relators": [["a1"]]}))
+            argv = ["geompres", str(path)]
+        elif where == "fiber_genus":
+            path.write_text(json.dumps({"fiber_genus": value, "base_genus": 0, "curves": [], "word": []}))
+            argv = ["verify", str(path)]
+        else:
+            argv = ["cover", "--genus", str(value), "--chi", "1,0"]
+        start = time.perf_counter()
+        assert self.run(argv, capsys) == 1
+        assert time.perf_counter() - start < 1.0
 
     def test_geompres_boolean_genus(self, tmp_path, capsys):
         path = tmp_path / "p.json"

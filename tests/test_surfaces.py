@@ -9,6 +9,8 @@ from twistlab.surfaces import (
     SurfaceData,
     intersection_pairing,
     is_symplectic,
+    pairing_row,
+    symplectic_inverse,
     symplectic_j,
     twist_transvection,
 )
@@ -107,6 +109,31 @@ class TestTransvection:
             tx, ty = twist_transvection(x), twist_transvection(y)
             assert tx * ty * tx == ty * tx * ty
         assert found > 10
+
+
+class TestSymplecticInverse:
+    def test_pairing_row(self):
+        rng = random.Random(13)
+        for _ in range(20):
+            n = 2 * rng.randint(1, 4)
+            c = tuple(rng.randint(-5, 5) for _ in range(n))
+            x = tuple(rng.randint(-5, 5) for _ in range(n))
+            assert sum(a * b for a, b in zip(pairing_row(c), x)) == intersection_pairing(c, x)
+
+    def test_against_j_products(self):
+        # random products of transvections: the closed form equals
+        # (-J) M^T J and inverts M on both sides
+        rng = random.Random(17)
+        for _ in range(30):
+            g = rng.randint(1, 4)
+            m = IntMatrix.identity(2 * g)
+            for _ in range(rng.randint(0, 6)):
+                c = tuple(rng.randint(-3, 3) for _ in range(2 * g))
+                m = m * twist_transvection(c)
+            j = symplectic_j(g)
+            inv = symplectic_inverse(m)
+            assert inv == (-j) * m.transpose() * j
+            assert (m * inv).is_identity() and (inv * m).is_identity()
 
 
 class TestIsSymplectic:

@@ -1,6 +1,7 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from conftest import CURVE_A, CURVE_B, e1_word
+from conftest import CURVE_A, CURVE_B, e1_word, evaluate_homological_oracle
 from twistlab.errors import NotAdjacent, NotARelation, NotConnected, NotPositive
 from twistlab.exact import IntMatrix
 from twistlab.surfaces import Curve, SurfaceData, twist_transvection
@@ -92,6 +93,25 @@ class TestEvaluate:
                 for s in combo:
                     direct = direct * mats[s]
                 assert evaluate_homological(w) == direct
+
+
+def twist_words(genus: int, depth: int, max_letters: int):
+    """Words on the genus-g surface: classes in [-3, 3]^2g, the zero class
+    included, exponents of both signs, conjugators nested to the depth."""
+    classes = st.tuples(*[st.integers(-3, 3)] * (2 * genus))
+    curves = classes.map(lambda c: Curve(f"c{c}", c, separating=not any(c)))
+    exponents = st.sampled_from((-5, -2, -1, 1, 2, 3, 7))
+    conjugators = st.none()
+    if depth:
+        conjugators = st.none() | twist_words(genus, depth - 1, 3)
+    letters = st.builds(TwistLetter, curves, exponents, conjugators)
+    return st.lists(letters, max_size=max_letters).map(lambda ls: TwistWord(genus, tuple(ls)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda g: twist_words(g, 2, 6)))
+def test_value_matches_per_letter_route(word):
+    assert evaluate_homological(word) == evaluate_homological_oracle(word)
 
 
 class TestPositivity:
