@@ -24,13 +24,16 @@ from .presentations import (
 from .schema import (
     FIXTURE_NAMES,
     check_genus,
+    curve_system_to_dict,
     factorization_from_dict,
     fixture_path,
     fixtures_dir,
+    geompres_from_dict,
     load_json,
     presentation_from_dict,
 )
 from .systems import build_geometric_presentation, verify_geometric_presentation
+from .words import is_positive
 
 E_OK, E_INPUT, E_VERIFY, E_CONTRADICTION = 0, 1, 2, 3
 
@@ -61,10 +64,7 @@ def cmd_verify(args) -> int:
 def cmd_invariants(args) -> int:
     f = factorization_from_dict(load_json(args.file))
     rep = invariant_report(f, external_signature=args.signature)
-    if args.json:
-        print(json.dumps(rep.to_dict(), indent=1))
-    else:
-        print(rep.text())
+    _emit(rep.to_dict(), args.json)
     if not rep.relation_verified:
         return E_VERIFY
     if not rep.torelli_ok:
@@ -73,21 +73,9 @@ def cmd_invariants(args) -> int:
 
 
 def cmd_geompres(args) -> int:
-    data = load_json(args.file)
-    if not isinstance(data, dict):
-        raise SchemaError("a geometric presentation input must be an object")
-    group = SurfaceGroup(check_genus(data.get("genus"), "genus", 1))
-    gens = group.generator_names
-    words = data.get("relators", [])
-    if not isinstance(words, list):
-        raise SchemaError("relators must be a list of words")
-    relators = [parse_word(r, gens) for r in words]
-    gp = build_geometric_presentation(
-        group, relators, ensure_nonseparating=bool(data.get("ensure_nonseparating"))
-    )
+    group, relators, ensure_nonseparating = geompres_from_dict(load_json(args.file))
+    gp = build_geometric_presentation(group, relators, ensure_nonseparating)
     report = verify_geometric_presentation(gp)
-    from .schema import curve_system_to_dict
-
     payload = {
         "genus": gp.genus,
         "crossings": gp.crossings,
@@ -110,8 +98,6 @@ def cmd_metaplectic(args) -> int:
     word = parse_meta_word(args.word)
     value = evaluate_meta_word(word)
     payload = {"matrix": [list(r) for r in value.matrix], "n": value.n}
-    from .words import is_positive
-
     if is_positive(word):
         # centrality, n and the Szpiro data all come from the one evaluation
         n = central_multiplicity(value)
@@ -187,8 +173,16 @@ def cmd_fixtures(args) -> int:
     return E_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a malformed command line as an input error; argparse's own
+    exit code 2 would read as a failed relation."""
+
+    def error(self, message):
+        raise SchemaError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="twistlab",
         description="Exact computations with Dehn-twist monodromy factorizations.",
     )
@@ -240,9 +234,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except TwistlabError as ex:
         print(f"input error: {ex}", file=sys.stderr)

@@ -55,10 +55,19 @@ class IntMatrix:
     def __mul__(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.rows:
             raise DimensionMismatch(f"{self.cols} != {other.rows}")
-        b_cols = list(zip(*other.entries)) if other.entries else []
-        return IntMatrix(
-            [[sum(a * b for a, b in zip(row, col)) for col in b_cols] for row in self.entries]
-        )
+        # each output row is the sum of a_k * B[k] over the nonzero a_k of the
+        # left row, and over the nonzero entries of B[k]: covers multiply
+        # transforms whose entries are mostly 0
+        b_rows = [[(j, b) for j, b in enumerate(r) if b] for r in other.entries]
+        out = []
+        for row in self.entries:
+            acc = [0] * other.cols
+            for a, b_row in zip(row, b_rows):
+                if a:
+                    for j, b in b_row:
+                        acc[j] += a * b
+            out.append(acc)
+        return IntMatrix(out)
 
     def __neg__(self) -> "IntMatrix":
         return IntMatrix([[-a for a in row] for row in self.entries])
@@ -122,13 +131,17 @@ class SmithForm:
 
 
 def _pivot(m, k, rows, cols):
-    """Smallest |entry| in m[k:, k:], ties by (row, col)."""
+    """Smallest |entry| in m[k:, k:], ties by (row, col).  The scan is
+    row-major and replaces only on a smaller value, so it stops at the first
+    unit, which the full scan would keep."""
     best = None
     for i in range(k, rows):
         for j in range(k, cols):
             v = abs(m[i][j])
             if v and (best is None or v < best[0]):
                 best = (v, i, j)
+                if v == 1:
+                    return best
     return best
 
 

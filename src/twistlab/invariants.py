@@ -55,31 +55,24 @@ class Factorization:
     def __post_init__(self):
         if self.word.genus != self.fiber_genus:
             raise GenusMismatch("word does not live on the fiber surface")
-        names = {c.name for c in self.curves}
+        listed = {c.name: c for c in self.curves}
         for l in self.word.letters:
-            if l.curve.name not in names:
-                raise SchemaError(f"word references unknown curve {l.curve.name!r}")
+            # the letters are the one source of the vanishing cycles
+            if listed.get(l.curve.name) != l.curve:
+                raise SchemaError(f"word letter {l.curve.name!r} is not a listed curve")
         if self.commutator_part is not None:
             for x, y in self.commutator_part:
                 if not (is_symplectic(x) and is_symplectic(y)):
                     raise SchemaError("commutator factors must be symplectic")
 
-    def curve(self, name: str) -> Curve:
-        for c in self.curves:
-            if c.name == name:
-                return c
-        raise KeyError(name)
+    def cycles(self) -> Tuple[Curve, ...]:
+        """The vanishing cycles: the distinct curves of the word's letters,
+        in first-use order."""
+        return tuple({l.curve.name: l.curve for l in self.word.letters}.values())
 
     def cycle_classes(self) -> List[tuple]:
-        """Homology classes of the vanishing cycles, one per distinct curve
-        used by the word, in first-use order."""
-        out = []
-        seen = set()
-        for l in self.word.letters:
-            if l.curve.name not in seen:
-                seen.add(l.curve.name)
-                out.append(tuple(l.curve.homology))
-        return out
+        """Homology classes of the vanishing cycles, in first-use order."""
+        return [tuple(c.homology) for c in self.cycles()]
 
     def verify_homological(self) -> Tuple[bool, IntMatrix]:
         """Base genus 0: the word must evaluate to the identity.  Higher
@@ -116,11 +109,16 @@ def pi1_presentation(f: Factorization) -> FinitePresentation:
     """Surface group of the fiber modulo the vanishing-cycle words."""
     if f.base_genus != 0:
         raise SchemaError("pi1 presentation implemented for base genus 0")
+    return _fiber_quotient(f)
+
+
+def _fiber_quotient(f: Factorization) -> FinitePresentation:
+    """The fiber's surface group modulo the vanishing cycles' words;
+    MissingWords when a cycle carries none."""
     words = []
-    for name in f.word.curves_used():
-        c = f.curve(name)
+    for c in f.cycles():
         if c.word is None:
-            raise MissingWords(f"curve {name} carries no fundamental-group word")
+            raise MissingWords(f"curve {c.name} carries no fundamental-group word")
         words.append(c.word)
     return quotient_by_normal_closure(SurfaceGroup(f.fiber_genus).presentation(), words)
 
@@ -142,7 +140,7 @@ def h1_total_space(f: Factorization) -> AbelianInvariants:
 def _boundary_case(f: Factorization) -> bool:
     """Fiber genus one with only non-separating vanishing cycles, the case
     whose signature comes from the metaplectic boundary multiplicity."""
-    cycles = [f.curve(n) for n in f.word.curves_used()]
+    cycles = f.cycles()
     return f.fiber_genus == 1 and bool(cycles) and not any(c.separating for c in cycles)
 
 
@@ -156,13 +154,17 @@ def signature(f: Factorization, external: Optional[int] = None) -> Tuple[Optiona
     if not is_positive(f.word):
         raise NotPositive("signature formulas assume a positive factorization")
     m = f.word.total_exponent()
-    if all(f.curve(n).separating for n in f.word.curves_used()):
+    if all(c.separating for c in f.cycles()):
         return -m, "computed"
     if _boundary_case(f):
         res = boundary_multiplicity(f.word)
         if isinstance(res, MetaElement):
             raise NotCentral(res)
         return 4 * res - m, "computed"
+    return _not_computed(external)
+
+
+def _not_computed(external: Optional[int]) -> Tuple[Optional[int], str]:
     if external is not None:
         return int(external), "external"
     return None, "unknown"
@@ -209,7 +211,7 @@ def torelli_certificate(f: Factorization) -> TorelliReport:
 def _torelli(f: Factorization, sign: Optional[int]) -> TorelliReport:
     """The certificate of a nonempty positive sphere-base word, given its
     signature when computed (None otherwise)."""
-    cycles = [f.curve(n) for n in f.word.curves_used()]
+    cycles = f.cycles()
     m = f.word.total_exponent()
     if all(c.separating for c in cycles):
         return TorelliReport(
@@ -286,15 +288,7 @@ def verify_higher_base(f: Factorization) -> HigherBaseReport:
     pres = None
     ab = None
     try:
-        words = []
-        for name in f.word.curves_used():
-            c = f.curve(name)
-            if c.word is None:
-                raise MissingWords(name)
-            words.append(c.word)
-        pres = quotient_by_normal_closure(
-            SurfaceGroup(f.fiber_genus).presentation(), words
-        )
+        pres = _fiber_quotient(f)
         ab = abelianize(pres)
     except MissingWords:
         pass
@@ -353,11 +347,6 @@ class InvariantReport:
             "caveat": self.caveat,
         }
 
-    def text(self) -> str:
-        d = self.to_dict()
-        lines = [f"{k}: {v}" for k, v in d.items()]
-        return "\n".join(lines)
-
 
 def invariant_report(
     f: Factorization, external_signature: Optional[int] = None
@@ -371,7 +360,11 @@ def invariant_report(
     b2 = euler - 2 + 2 * b1
     # the only metaplectic evaluation of the report: in the boundary case
     # sign = 4n - mu, so lambda = n and the Szpiro data follow from it
-    sign, prov = signature(f, external_signature)
+    try:
+        sign, prov = signature(f, external_signature)
+    except NotCentral:
+        # only a word that fails the relation evaluates off the centre
+        sign, prov = _not_computed(external_signature)
     lam = None
     c1sq = None
     liu_status = "lambda unknown"
@@ -381,7 +374,7 @@ def invariant_report(
         liu = _liu(lam, f.fiber_genus)
         liu_status = f"{liu.lam} > {liu.bound}: {'pass' if liu.passes else 'FAIL'}"
     szp = None
-    if _boundary_case(f):
+    if prov == "computed" and _boundary_case(f):
         rep = szpiro_report(f.word, int(lam))
         szp = {
             "n": rep.n,

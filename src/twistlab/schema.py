@@ -9,12 +9,12 @@ from __future__ import annotations
 
 import json
 import os
-from typing import List
+from typing import List, Tuple
 
 from .errors import BudgetExceeded, SchemaError
 from .exact import IntMatrix
 from .invariants import Factorization
-from .presentations import FinitePresentation, format_word, parse_word
+from .presentations import FinitePresentation, SurfaceGroup, Word, format_word, parse_word
 from .surfaces import Curve, SurfaceData
 from .systems import CurveSystem
 from .words import TwistLetter, TwistWord
@@ -168,6 +168,18 @@ def presentation_from_dict(data: dict) -> FinitePresentation:
     _require(isinstance(rels, list), "relators must be a list of words")
     words = tuple(parse_word(r, gens) for r in rels)
     return FinitePresentation(tuple(gens), words)
+
+
+def geompres_from_dict(data: dict) -> Tuple[SurfaceGroup, List[Word], bool]:
+    """(base group, relators, ensure_nonseparating) of an input
+    {"genus": g, "relators": [[token, ...], ...], "ensure_nonseparating": bool}."""
+    _require(isinstance(data, dict), "a geometric presentation input must be an object")
+    group = SurfaceGroup(check_genus(data.get("genus"), "genus", 1))
+    words = data.get("relators", [])
+    _require(isinstance(words, list), "relators must be a list of words")
+    nonseparating = data.get("ensure_nonseparating", False)
+    _require(type(nonseparating) is bool, "ensure_nonseparating must be true or false")
+    return group, [parse_word(r, group.generator_names) for r in words], nonseparating
 
 
 # ---------------------------------------------------------------------------

@@ -79,13 +79,6 @@ class TwistWord:
                 out.append(l)
         return TwistWord(self.genus, tuple(out))
 
-    def curves_used(self) -> Tuple[str, ...]:
-        seen = []
-        for l in self.letters:
-            if l.curve.name not in seen:
-                seen.append(l.curve.name)
-        return tuple(seen)
-
 
 def evaluate_homological(word: TwistWord) -> IntMatrix:
     """Product of the letters' transvection powers in reading order.

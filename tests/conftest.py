@@ -145,6 +145,13 @@ def meta_word_oracle(word) -> MetaElement:
     return acc
 
 
+def matmul_oracle(a: IntMatrix, b: IntMatrix) -> IntMatrix:
+    """Dense product of a and b: each entry the dot product of a row of a
+    with a column of b."""
+    b_cols = list(zip(*b.entries)) if b.entries else []
+    return IntMatrix([[sum(x * y for x, y in zip(row, col)) for col in b_cols] for row in a.entries])
+
+
 def evaluate_homological_oracle(word) -> IntMatrix:
     """Per-letter route to a word's homological value: each letter's
     transvection matrix, powers by square-and-multiply, conjugators

@@ -3,6 +3,7 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import matmul_oracle
 from twistlab.errors import DimensionMismatch
 from twistlab.exact import (
     F2Matrix,
@@ -66,6 +67,28 @@ class TestSmithNormalForm:
         assert snf.left * a * snf.right == diag_matrix(snf, (6, 6))
         assert snf.diagonal == (1, 1, 1, 1, 1, 1452849934)
         assert abs(a.det()) == 1452849934
+
+
+# mostly zeros, as in the transforms covers multiply, with some big entries
+product_entries = st.one_of(st.just(0), st.integers(-3, 3), st.integers(-(10**20), 10**20))
+
+
+@st.composite
+def product_pairs(draw):
+    """(a, b) with a.cols == b.rows, including 0-row and 0-column shapes."""
+    r, k, m = (draw(st.integers(min_value=0, max_value=6)) for _ in range(3))
+    a = IntMatrix([[draw(product_entries) for _ in range(k)] for _ in range(r)])
+    b = IntMatrix([[draw(product_entries) for _ in range(m)] for _ in range(a.cols)])
+    return a, b
+
+
+@settings(max_examples=200, deadline=None)
+@given(product_pairs())
+def test_product_agrees_with_column_products(pair):
+    a, b = pair
+    product = a * b
+    assert product == matmul_oracle(a, b)
+    assert product.rows == a.rows
 
 
 small_matrices = st.integers(min_value=1, max_value=5).flatmap(

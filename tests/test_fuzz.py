@@ -2,8 +2,9 @@
 
 Each example replaces one leaf of a bundled input with a value of the wrong
 kind or size, or drops one key, and runs the CLI command that reads it; or
-it feeds a metaplectic word built from the syntax's own tokens.  Every run
-must end in an exit code 0-3 within 5 s.  Examples are derandomized, so a
+it feeds a metaplectic word built from the syntax's own tokens; or it edits
+a valid command line.  Every run must end in an exit code 0-3 within 5 s,
+with no SystemExit and no traceback.  Examples are derandomized, so a
 failure reproduces.
 """
 import contextlib
@@ -64,9 +65,14 @@ def _mutations(data):
 
 def _run(argv):
     start = time.perf_counter()
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-        code = main(argv)
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as ex:
+            raise AssertionError(f"{argv} raised SystemExit({ex.code})") from None
     assert 0 <= code <= 3, (argv, code)
+    assert "Traceback" not in err.getvalue(), argv
     assert time.perf_counter() - start < 5.0, argv
 
 
@@ -100,3 +106,46 @@ tokens = st.one_of(
 def test_metaplectic_word(parts, sep):
     # "--" keeps a word that starts with "-" from being read as an option
     _run(["metaplectic", "--json", "--", sep.join(parts)])
+
+
+# a valid command line per subcommand, and one for a command that is not one
+COMMAND_LINES = (
+    ["verify", fixture_path("E1"), "--json"],
+    ["invariants", fixture_path("genus2-paper"), "--signature", "-20", "--json"],
+    ["geompres", os.path.join(GOLDEN, "geompres-nonseparating.json"), "--json"],
+    ["metaplectic", "(a b)^6", "--json"],
+    ["cover", "--genus", "2", "--chi", "0,1,0,0", "--loop", "a1 b1", "--json"],
+    ["abelianize", fixture_path("wajnryb-map21"), "--json"],
+    ["fixtures", "--json"],
+    ["frob", "--json"],
+)
+# no -h or --help: those print the usage and exit 0 by design
+ARGUMENTS = (
+    "x", "", "1", "-8", "1,0", "--bogus", "-q", "--json", "--genus", "--chi",
+    "--loop", "--signature", fixture_path("E1"), fixture_path("sl2z-amalgam"),
+    os.path.join(GOLDEN, "no-such-input.json"),
+)
+
+
+@st.composite
+def command_lines(draw):
+    """A valid command line with up to three tokens dropped, replaced or
+    inserted, or the empty command line."""
+    argv = list(draw(st.sampled_from(COMMAND_LINES + ([],))))
+    for _ in range(draw(st.integers(0, 3))):
+        op = draw(st.sampled_from(("drop", "replace", "insert")))
+        if op == "insert" or not argv:
+            argv.insert(draw(st.integers(0, len(argv))), draw(st.sampled_from(ARGUMENTS)))
+            continue
+        i = draw(st.integers(0, len(argv) - 1))
+        if op == "drop":
+            del argv[i]
+        else:
+            argv[i] = draw(st.sampled_from(ARGUMENTS))
+    return argv
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(command_lines())
+def test_command_line(argv):
+    _run(argv)

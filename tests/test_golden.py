@@ -1,5 +1,5 @@
-"""The --json output and exit code of the CLI on bundled fixtures and fixed
-words, compared byte for byte with stored outputs.
+"""The output, --json or text, and the exit code of the CLI on bundled
+fixtures and fixed words, compared byte for byte with stored outputs.
 
 ``golden/cases.json`` maps each case to its argv and exit code; ``@name``
 in an argv stands for the path of the bundled fixture ``name``, and

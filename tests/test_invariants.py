@@ -9,6 +9,7 @@ from twistlab.errors import (
     MissingCommutatorData,
     MissingWords,
     NotPositive,
+    SchemaError,
     SignatureUnknown,
 )
 from twistlab.exact import IntMatrix
@@ -35,6 +36,23 @@ def separating_factorization(genus=2, twists=5):
     sep = Curve("s", (0,) * (2 * genus), separating=True)
     word = TwistWord(genus, tuple(TwistLetter(sep) for _ in range(twists)))
     return Factorization(genus, 0, word, (sep,))
+
+
+class TestVanishingCycles:
+    def test_letter_curve_is_the_listed_curve(self):
+        moved = Curve("a", (1, 1), word=(1, 2))
+        with pytest.raises(SchemaError, match="not a listed curve"):
+            Factorization(1, 0, TwistWord(1, (TwistLetter(moved),)), (CURVE_A, CURVE_B))
+
+    def test_first_use_order_of_top_level_letters(self):
+        # a conjugator's curves are not vanishing cycles
+        empty = Factorization(1, 0, TwistWord(1), (CURVE_A, CURVE_B))
+        conj = TwistWord(1, (TwistLetter(CURVE_A),))
+        word = TwistWord(1, (TwistLetter(CURVE_B, conjugator=conj), TwistLetter(CURVE_B)))
+        assert empty.cycles() == ()
+        f = Factorization(1, 0, word * e1_word(), (CURVE_A, CURVE_B))
+        assert f.cycles() == (CURVE_B, CURVE_A)
+        assert f.cycle_classes() == [(0, 1), (1, 0)]
 
 
 class TestMu:

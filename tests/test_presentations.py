@@ -1,5 +1,6 @@
 import json
 import os
+import time
 
 import pytest
 
@@ -162,6 +163,16 @@ class TestDoubleCover:
     def test_deck_matrix_golden(self, case):
         cov = reidemeister_schreier_double_cover(SurfaceGroup(case["genus"]), case["chi"])
         assert cov.deck_matrix() == IntMatrix(case["deck_matrix"])
+
+    def test_deck_matrix_genus60_time(self):
+        # the transforms are mostly zeros, which the products skip; the
+        # dense products took about 1.6 s here
+        chi = tuple((i * 7 + 3) % 5 % 2 for i in range(120))
+        cov = reidemeister_schreier_double_cover(SurfaceGroup(60), chi)
+        start = time.perf_counter()
+        d = cov.deck_matrix()
+        assert time.perf_counter() - start < 0.5
+        assert d.rows == cov.homology_dim()
 
 
 class TestLiftLoop:

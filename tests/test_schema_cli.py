@@ -195,6 +195,25 @@ class TestCli:
         assert out["lambda"] == "2"
         assert "pass" in out["liu_status"]
 
+    @pytest.mark.parametrize(
+        "signature, provenance", [(None, "unknown"), ("-9", "external")], ids=["unknown", "external"]
+    )
+    def test_invariants_failed_relation(self, tmp_path, capsys, signature, provenance):
+        # the same file verify rejects with exit 2; mu = 13, so an external
+        # signature of -9 gives an integer lambda
+        data = json.load(open(fixture_path("E1")))
+        data["word"][0]["exponent"] = 2
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(data))
+        argv = ["invariants", str(path), "--json"]
+        if signature is not None:
+            argv += ["--signature", signature]
+        assert main(argv) == 2
+        out = json.loads(capsys.readouterr().out)
+        assert out["relation_verified_homologically"] is False
+        assert out["signature_provenance"] == provenance
+        assert out["szpiro"] is None
+
     def test_invariants_separating_contradiction(self, tmp_path, capsys):
         data = {
             "fiber_genus": 2,
@@ -330,8 +349,7 @@ class TestOneEvaluation:
         path = tmp_path / "e1.json"
         path.write_text(json.dumps(data))
         start = time.perf_counter()
-        main(["invariants", str(path), "--json"])
-        assert "not central" in capsys.readouterr().err
+        assert main(["invariants", str(path), "--json"]) == 2
         assert time.perf_counter() - start < 1.0
 
     def test_maslov_cross_check_runs(self, monkeypatch, capsys):
@@ -508,6 +526,37 @@ class TestInputErrors:
         start = time.perf_counter()
         assert self.run(argv, capsys) == 1
         assert time.perf_counter() - start < 1.0
+
+    @pytest.mark.parametrize("value", ["no", 0, None])
+    def test_geompres_nonseparating_is_a_boolean(self, tmp_path, capsys, value):
+        data = {"genus": 1, "relators": [["a1", "b1", "a1^-1", "b1^-1"]], "ensure_nonseparating": value}
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps(data))
+        assert self.run(["geompres", str(path)], capsys) == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["cover", "--genus", "x", "--chi", "1,0"],
+            ["cover", "--genus", "1"],
+            ["frob"],
+            [],
+            ["verify"],
+            ["invariants", "--signature", "x"],
+            ["fixtures", "--bogus"],
+        ],
+        ids=["int-option", "missing-option", "unknown-command", "empty", "missing-file",
+             "int-signature", "unknown-option"],
+    )
+    def test_malformed_command_line(self, capsys, argv):
+        # argparse's own exit 2 would read as a failed relation
+        assert self.run(argv, capsys) == 1
+
+    def test_help_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as ex:
+            main(["cover", "--help"])
+        assert ex.value.code == 0
+        assert "--genus" in capsys.readouterr().out
 
     def test_geompres_boolean_genus(self, tmp_path, capsys):
         path = tmp_path / "p.json"
