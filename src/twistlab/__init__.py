@@ -9,6 +9,7 @@ from .exact import (
     smith_diagonal,
     smith_normal_form,
     solve_f2,
+    sparse_rows,
 )
 from .invariants import (
     Factorization,

@@ -38,10 +38,52 @@ from .words import is_positive
 E_OK, E_INPUT, E_VERIFY, E_CONTRADICTION = 0, 1, 2, 3
 
 
+# the scalars' encoder: json.dumps(v, default=str) without a new encoder per call
+_SCALAR = json.JSONEncoder(default=str).encode
+
+
+def _json_pieces(v, indent: str):
+    """The text of json.dumps(v, indent=1, default=str) in pieces, for a
+    value whose first line starts at `indent` (a newline and its spaces).
+
+    A list of plain ints, such as a dense homology class, is one piece
+    joined at C speed; the stdlib's indenting encoder runs in Python per
+    entry.  No piece holds more than one such list.
+    """
+    if isinstance(v, dict):
+        if not v:
+            yield "{}"
+            return
+        inner = indent + " "
+        sep = "{"
+        for k, x in v.items():
+            # a key that is not a str is written as the string of its JSON text
+            yield sep + inner + _SCALAR(k if isinstance(k, str) else _SCALAR(k)) + ": "
+            yield from _json_pieces(x, inner)
+            sep = ","
+        yield indent + "}"
+    elif isinstance(v, (list, tuple)):
+        if not v:
+            yield "[]"
+            return
+        inner = indent + " "
+        if set(map(type, v)) == {int}:  # bools are not ints here
+            yield "[" + inner + ("," + inner).join(map(repr, v)) + indent + "]"
+            return
+        sep = "["
+        for x in v:
+            yield sep + inner
+            yield from _json_pieces(x, inner)
+            sep = ","
+        yield indent + "]"
+    else:
+        yield _SCALAR(v)
+
+
 def _emit(payload: dict, as_json: bool):
     if as_json:
         # streamed: a geompres system runs to megabytes of text
-        json.dump(payload, sys.stdout, indent=1, default=str)
+        sys.stdout.writelines(_json_pieces(payload, "\n"))
         sys.stdout.write("\n")
     else:
         for k, v in payload.items():

@@ -10,7 +10,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from itertools import compress
-from typing import Optional, Sequence
+from typing import Dict, List, Mapping, Optional, Sequence
 
 from .errors import DimensionMismatch
 
@@ -223,9 +223,15 @@ def smith_normal_form(a: IntMatrix) -> SmithForm:
     return SmithForm(diagonal=diagonal, rank=len(diagonal), left=IntMatrix(u), right=IntMatrix(v))
 
 
-def smith_diagonal(a: IntMatrix) -> tuple:
-    """The nonzero Smith diagonal of a, equal to smith_normal_form(a).diagonal,
-    without the transforms.
+def sparse_rows(entries: Sequence[Sequence[int]]) -> List[Dict[int, int]]:
+    """Each row as {column: entry} of its nonzero entries."""
+    return [dict(zip(compress(range(len(r)), r), filter(None, r))) for r in entries]
+
+
+def smith_diagonal(rows: Sequence[Mapping[int, int]]) -> tuple:
+    """The nonzero Smith diagonal of the integer matrix given by its sparse
+    rows ({column: entry}), equal to smith_normal_form(a).diagonal of the
+    dense matrix a, without the transforms.
 
     Unit entries are eliminated first on sparse rows (after Havas-Holt-Rees,
     "Recognizing badly presented Z-modules", 1993): the +-1 entry of least
@@ -234,7 +240,7 @@ def smith_diagonal(a: IntMatrix) -> tuple:
     clear its row change only the pivot row, so the row and column are dropped
     and a 1 is counted.  The dense remainder goes to smith_normal_form.
     """
-    rows = {i: {j: r[j] for j in compress(range(len(r)), r)} for i, r in enumerate(a.entries)}
+    rows = {i: {j: x for j, x in r.items() if x} for i, r in enumerate(rows)}
     rows_of = {}  # column -> rows holding an entry in it
     for i, r in rows.items():
         for j in r:

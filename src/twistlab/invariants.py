@@ -23,7 +23,7 @@ from .errors import (
     SchemaError,
     SignatureUnknown,
 )
-from .exact import IntMatrix, smith_diagonal
+from .exact import IntMatrix, smith_diagonal, sparse_rows
 from .metaplectic import MetaElement, boundary_multiplicity, szpiro_report
 from .presentations import (
     AbelianInvariants,
@@ -132,7 +132,7 @@ def h1_total_space(f: Factorization) -> AbelianInvariants:
     g2 = 2 * f.fiber_genus
     if not classes:
         return AbelianInvariants(free_rank=g2, torsion=())
-    diagonal = smith_diagonal(IntMatrix(classes))
+    diagonal = smith_diagonal(sparse_rows(classes))
     torsion = tuple(d for d in diagonal if d > 1)
     return AbelianInvariants(free_rank=g2 - len(diagonal), torsion=torsion)
 

@@ -6,8 +6,9 @@ Words are tuples of nonzero signed integers: +k is the k-th generator
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import BudgetExceeded, DimensionMismatch, SchemaError, ZeroCharacter
 from .exact import IntMatrix, inverse_unimodular, smith_diagonal, smith_normal_form
@@ -29,10 +30,11 @@ def free_reduce(word: Sequence[int]) -> Word:
 
 
 def cyclic_reduce(word: Sequence[int]) -> Word:
-    w = list(free_reduce(word))
-    while len(w) >= 2 and w[0] == -w[-1]:
-        w = w[1:-1]
-    return tuple(w)
+    w = free_reduce(word)
+    i, j = 0, len(w) - 1
+    while i < j and w[i] == -w[j]:
+        i, j = i + 1, j - 1
+    return w[i:j + 1]
 
 
 def inverse_word(word: Sequence[int]) -> Word:
@@ -118,6 +120,16 @@ class FinitePresentation:
         """Exponent-sum matrix, one row per relator."""
         return IntMatrix([exponent_vector(r, self.rank) for r in self.relators])
 
+    def relator_rows(self) -> List[Dict[int, int]]:
+        """The rows of relator_matrix() as {column: exponent}, zeros dropped."""
+        rows = []
+        for r in self.relators:
+            row: Dict[int, int] = {}
+            for x, k in Counter(r).items():
+                row[abs(x) - 1] = row.get(abs(x) - 1, 0) + (k if x > 0 else -k)
+            rows.append({j: v for j, v in row.items() if v})
+        return rows
+
 
 @dataclass(frozen=True)
 class AbelianInvariants:
@@ -143,7 +155,7 @@ class AbelianInvariants:
 
 
 def abelianize(p: FinitePresentation) -> AbelianInvariants:
-    return _invariants(p, smith_diagonal(p.relator_matrix()))
+    return _invariants(p, smith_diagonal(p.relator_rows()))
 
 
 def _invariants(p: FinitePresentation, diagonal: Sequence[int]) -> AbelianInvariants:

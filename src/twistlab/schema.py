@@ -25,6 +25,10 @@ FIXTURE_NAMES = ("E1", "genus2-paper", "genus3-b1", "wajnryb-map21", "sl2z-amalg
 
 # largest genus accepted anywhere: H1 is carried as dense 2g x 2g matrices
 MAX_GENUS = 1000
+# relator letters of one geometric presentation: its chord pair test is
+# quadratic in them whatever the crossings; a1^n alone draws n - 1 crossings,
+# so this allows twice the genus budget's crossings on the plainest input
+MAX_GEOMPRES_LETTERS = 2 * MAX_GENUS
 
 
 def _require(cond: bool, msg: str):
@@ -187,10 +191,13 @@ def geompres_from_dict(data: dict) -> Tuple[SurfaceGroup, List[Word], bool]:
 
 
 def curve_system_to_dict(s: CurveSystem) -> dict:
+    """The system for the JSON writer.  Each homology entry is the curve's
+    own class tuple, which JSON writes as a list: a built system's classes
+    are dense, megabytes in all, and a list copy would double them."""
     gens = _surface_generators(s.surface.genus)
     return {
         "genus": s.surface.genus,
-        "curves": [_curve_to_dict(c, gens) for c in s.curves],
+        "curves": [_curve_to_dict(c, gens, tuple) for c in s.curves],
         "intersections": [[a, b, k] for a, b, k in s.intersections],
     }
 
@@ -237,8 +244,8 @@ def _curve_from_dict(cd, genus: int, gens: List[str]) -> Curve:
     return Curve(name, tuple(hom), separating, None if word is None else parse_word(word, gens))
 
 
-def _curve_to_dict(c: Curve, gens: List[str]) -> dict:
-    d = {"name": c.name, "homology": list(c.homology), "separating": c.separating}
+def _curve_to_dict(c: Curve, gens: List[str], homology=list) -> dict:
+    d = {"name": c.name, "homology": homology(c.homology), "separating": c.separating}
     if c.word is not None:
         d["word"] = format_word(c.word, gens)
     return d

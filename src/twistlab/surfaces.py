@@ -35,17 +35,17 @@ class Curve:
     word: Optional[Tuple[int, ...]] = None
 
     def __post_init__(self):
-        object.__setattr__(self, "homology", tuple(int(x) for x in self.homology))
-        is_zero = all(x == 0 for x in self.homology)
-        if self.separating != is_zero:
+        h = tuple(map(int, self.homology))
+        object.__setattr__(self, "homology", h)
+        if self.separating != (not any(h)):
             raise SchemaError(
                 f"curve {self.name}: separating flag must match a zero homology class"
             )
         if self.word is not None:
             w = free_reduce(self.word)
             object.__setattr__(self, "word", w)
-            ab = exponent_vector(w, len(self.homology))
-            if ab != self.homology:
+            ab = exponent_vector(w, len(h))
+            if ab != h:
                 raise SchemaError(
                     f"curve {self.name}: word abelianization {ab} != homology {self.homology}"
                 )

@@ -12,11 +12,13 @@ is what matters.
 """
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .errors import EmptyRelators, SchemaError
+from .errors import BudgetExceeded, DimensionMismatch, EmptyRelators, SchemaError
 from .presentations import (
     FinitePresentation,
     SurfaceGroup,
@@ -36,9 +38,15 @@ class CurveSystem:
     intersections: Tuple[Tuple[str, str, int], ...]  # symmetric, zero diagonal
 
     def __post_init__(self):
-        names = [c.name for c in self.curves]
-        if len(set(names)) != len(names):
+        names = {c.name for c in self.curves}
+        if len(names) != len(self.curves):
             raise SchemaError("duplicate curve names")
+        n = 2 * self.surface.genus
+        for c in self.curves:
+            if len(c.homology) != n:
+                raise DimensionMismatch(
+                    f"curve {c.name}: class length {len(c.homology)} != 2g = {n}"
+                )
         table: Dict[Tuple[str, str], int] = {}
         for a, b, k in self.intersections:
             if a == b and k != 0:
@@ -52,11 +60,15 @@ class CurveSystem:
                 raise SchemaError(f"conflicting counts for {key}")
             table[key] = k
         object.__setattr__(self, "_table", table)
-        by_name = {c.name: c for c in self.curves}
+        by_name = {c.name: c.homology for c in self.curves}
+        # <x, y> = sum of x_j y_(j+1) - x_(j+1) y_j over even j, taken over the
+        # support of x alone: the classes are dense, the supports short
+        support = {name: list(compress(range(n), h)) for name, h in by_name.items()}
         for (a, b), k in table.items():
             if a == b:
                 continue
-            alg = intersection_pairing(by_name[a].homology, by_name[b].homology)
+            x, y = by_name[a], by_name[b]
+            alg = sum(-x[j] * y[j ^ 1] if j & 1 else x[j] * y[j ^ 1] for j in support[a])
             if k < abs(alg):
                 raise SchemaError(
                     f"count({a},{b}) = {k} below |algebraic| = {abs(alg)}"
@@ -67,12 +79,6 @@ class CurveSystem:
             return 0
         key = (a, b) if a <= b else (b, a)
         return self._table.get(key, 0)
-
-    def curve(self, name: str) -> Curve:
-        for c in self.curves:
-            if c.name == name:
-                return c
-        raise KeyError(name)
 
 
 @dataclass(frozen=True)
@@ -128,10 +134,19 @@ def graph_connected_to(
     Returns the flag plus a witness path per R-curve (None if unreachable).
     A curve already in S gets the length-0 path [curve].
     """
-    names = [c.name for c in system.curves]
+    index = {c.name: i for i, c in enumerate(system.curves)}
     for n in list(r_names) + list(s_names):
-        if n not in names:
+        if n not in index:
             raise SchemaError(f"unknown curve {n!r}")
+    # adjacency lists in curve order, the order in which the search visits
+    # neighbours, so the witness paths do not depend on the table's order
+    adj: Dict[str, List[str]] = {name: [] for name in index}
+    for (a, b), k in system._table.items():
+        if k == 1 and a != b:
+            adj[a].append(b)
+            adj[b].append(a)
+    for nbrs in adj.values():
+        nbrs.sort(key=index.__getitem__)
     target = set(s_names)
     paths: Dict[str, Optional[list]] = {}
     for r in r_names:
@@ -139,12 +154,12 @@ def graph_connected_to(
             paths[r] = [r]
             continue
         prev = {r: None}
-        queue = [r]
+        queue = deque([r])
         found = None
         while queue and found is None:
-            cur = queue.pop(0)
-            for w in names:
-                if w not in prev and adjacent(system, cur, w):
+            cur = queue.popleft()
+            for w in adj[cur]:
+                if w not in prev:
                     prev[w] = cur
                     if w in target:
                         found = w
@@ -259,6 +274,38 @@ def _segment_crossing(p1, p2, q1, q2):
     return None
 
 
+def _hub_crossings(rels: Sequence[Word], n_gens: int, genus: int) -> List[_Crossing]:
+    """The crossings of the relators' chords, ordered by (first chord, second
+    chord).  Each crossing adds a handle to the built surface, whose genus is
+    `genus` before any: BudgetExceeded as soon as it passes MAX_GENUS."""
+    from .schema import check_genus  # schema imports this module
+
+    chords, total = _chords(rels, n_gens)
+    pts = [_circle_point(k, total) for k in range(total)]
+    # every port is the end of exactly one chord, so the ends are distinct
+    # points in convex position: two chords cross iff exactly one end of the
+    # second lies strictly between the ends of the first.  Only crossing
+    # pairs pay for the exact parameters.
+    crossings: List[_Crossing] = []
+    for i, (ri, ji, a1, b1) in enumerate(chords):
+        lo, hi = (a1, b1) if a1 < b1 else (b1, a1)
+        for rk, jk, a2, b2 in chords[i + 1:]:
+            if (lo < a2 < hi) != (lo < b2 < hi):
+                s, t, sign = _segment_crossing(pts[a1], pts[b1], pts[a2], pts[b2])
+                crossings.append(
+                    _Crossing(
+                        index=len(crossings),
+                        sign=sign,
+                        branch1=(ri, ji),
+                        branch2=(rk, jk),
+                        param1=s,
+                        param2=t,
+                    )
+                )
+        check_genus(genus + len(crossings), "the built genus")
+    return crossings
+
+
 def build_geometric_presentation(
     base: SurfaceGroup,
     relators: Sequence[Sequence[int]],
@@ -274,56 +321,43 @@ def build_geometric_presentation(
     components is forced by deterministic finger moves (two opposite-sign
     crossings each).
     """
+    from .schema import MAX_GEOMPRES_LETTERS, check_genus  # schema imports this module
+
     g = base.genus
     rels = tuple(cyclic_reduce(r) for r in relators)
     if not rels:
         raise EmptyRelators("no relators given")
     if any(not r for r in rels):
         raise EmptyRelators("a relator reduces to the empty word")
+    letters = sum(map(len, rels))
+    if letters > MAX_GEOMPRES_LETTERS:
+        raise BudgetExceeded(
+            f"the relators have {letters} letters, over the budget {MAX_GEOMPRES_LETTERS}"
+        )
     for r in rels:
         for x in r:
             if not 1 <= abs(x) <= 2 * g:
                 raise SchemaError(f"relator letter {x} outside pi_{g} generators")
-
-    chords, total = _chords(rels, 2 * g)
-    pts = [_circle_point(k, total) for k in range(total)]
-
-    crossings: List[_Crossing] = []
-    for i in range(len(chords)):
-        ri, ji, a1, b1 = chords[i]
-        for k in range(i + 1, len(chords)):
-            rk, jk, a2, b2 = chords[k]
-            hit = _segment_crossing(pts[a1], pts[b1], pts[a2], pts[b2])
-            if hit:
-                s, t, sign = hit
-                crossings.append(
-                    _Crossing(
-                        index=len(crossings),
-                        sign=sign,
-                        branch1=(ri, ji),
-                        branch2=(rk, jk),
-                        param1=s,
-                        param2=t,
-                    )
-                )
+    classes = [exponent_vector(r, 2 * g) for r in rels]
+    add_handle = bool(ensure_nonseparating) and not any(map(any, classes))
+    crossings = _hub_crossings(rels, 2 * g, g + add_handle)
 
     # local crossing signs must reproduce the algebraic pairings, otherwise
     # the diagram would not be a genuine immersion picture
+    signed: Dict[Tuple[int, int], int] = {}
+    for c in crossings:
+        i, k = c.branch1[0], c.branch2[0]
+        if i < k:
+            signed[i, k] = signed.get((i, k), 0) + c.sign
+        elif k < i:
+            signed[k, i] = signed.get((k, i), 0) - c.sign
     for i in range(len(rels)):
         for k in range(i + 1, len(rels)):
-            alg = intersection_pairing(
-                exponent_vector(rels[i], 2 * g), exponent_vector(rels[k], 2 * g)
-            )
-            signed = 0
-            for c in crossings:
-                if c.branch1[0] == i and c.branch2[0] == k:
-                    signed += c.sign
-                elif c.branch1[0] == k and c.branch2[0] == i:
-                    signed -= c.sign
-            if signed != alg:
+            alg = intersection_pairing(classes[i], classes[k])
+            if signed.get((i, k), 0) != alg:
                 raise SchemaError(
                     f"chord model sign mismatch for relators {i},{k}: "
-                    f"{signed} != {alg}"
+                    f"{signed.get((i, k), 0)} != {alg}"
                 )
 
     # force a connected union: finger moves between components
@@ -356,11 +390,7 @@ def build_geometric_presentation(
         comp[max(find(r0), find(r1))] = min(find(r0), find(r1))
 
     n_cross = len(crossings)
-    trivial_input = all(
-        all(v == 0 for v in exponent_vector(r, 2 * g)) for r in rels
-    )
-    add_handle = ensure_nonseparating and trivial_input
-    e = g + n_cross + (1 if add_handle else 0)
+    e = check_genus(g + n_cross + add_handle, "the built genus")
 
     def a_gen(p: int) -> int:
         return 2 * g + 2 * p + 1
@@ -406,15 +436,13 @@ def build_geometric_presentation(
         cls = exponent_vector(w, 2 * e)
         name = f"c~{ri}"
         names.append(name)
-        curves.append(
-            Curve(name, cls, separating=all(v == 0 for v in cls), word=w)
-        )
+        curves.append(Curve(name, cls, separating=not any(cls), word=w))
     for p, c in enumerate(crossings):
         na, nb = f"a{g + p + 1}", f"b{g + p + 1}"
         ca = [0] * (2 * e); ca[a_gen(p) - 1] = 1
         cb = [0] * (2 * e); cb[b_gen(p) - 1] = 1
-        curves.append(Curve(na, tuple(ca), word=(a_gen(p),)))
-        curves.append(Curve(nb, tuple(cb), word=(b_gen(p),)))
+        curves.append(Curve(na, ca, word=(a_gen(p),)))
+        curves.append(Curve(nb, cb, word=(b_gen(p),)))
         counts.append((na, nb, 1))
         r1 = min(c.branch1, c.branch2)[0]
         r2 = max(c.branch1, c.branch2)[0]
@@ -426,9 +454,9 @@ def build_geometric_presentation(
         ca = [0] * (2 * e); ca[extra_a - 1] = 1
         cb = [0] * (2 * e); cb[extra_b - 1] = 1
         cc = [0] * (2 * e); cc[extra_a - 1] = 1; cc[extra_b - 1] = 1
-        curves.append(Curve(na, tuple(ca), word=(extra_a,)))
-        curves.append(Curve(nb, tuple(cb), word=(extra_b,)))
-        curves.append(Curve(nc, tuple(cc), word=(extra_a, extra_b)))
+        curves.append(Curve(na, ca, word=(extra_a,)))
+        curves.append(Curve(nb, cb, word=(extra_b,)))
+        curves.append(Curve(nc, cc, word=(extra_a, extra_b)))
         counts += [
             (na, nb, 1), (na, nc, 1), (nb, nc, 1),
             (names[0], na, 1), (names[0], nc, 1),

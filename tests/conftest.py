@@ -20,6 +20,7 @@ from twistlab.metaplectic import (
 )
 from twistlab.schema import load_fixture
 from twistlab.surfaces import Curve, symplectic_j, twist_transvection
+from twistlab.systems import _chords, _circle_point, _Crossing, _segment_crossing
 from twistlab.words import TwistLetter, TwistWord
 
 CURVE_A = Curve("a", (1, 0), word=(1,))
@@ -178,6 +179,24 @@ def evaluate_homological_oracle(word) -> IntMatrix:
             m = c * m * inverse(c)
         acc = acc * m
     return acc
+
+
+def hub_crossings_oracle(rels, n_gens: int):
+    """The chord crossings of the hub drawing by the exact segment test on
+    every pair of chords, in pair order: the route that the port
+    interleaving test is compared against."""
+    chords, total = _chords(rels, n_gens)
+    pts = [_circle_point(k, total) for k in range(total)]
+    crossings = []
+    for i in range(len(chords)):
+        ri, ji, a1, b1 = chords[i]
+        for k in range(i + 1, len(chords)):
+            rk, jk, a2, b2 = chords[k]
+            hit = _segment_crossing(pts[a1], pts[b1], pts[a2], pts[b2])
+            if hit:
+                s, t, sign = hit
+                crossings.append(_Crossing(len(crossings), sign, (ri, ji), (rk, jk), s, t))
+    return crossings
 
 
 def conjugates_of_t_a(max_conjugator_length: int = 2) -> Tuple[MetaElement, ...]:

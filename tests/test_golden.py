@@ -8,9 +8,12 @@ stored in ``golden/<case>.stdout``.
 """
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
+import twistlab
 from twistlab.cli import main
 from twistlab.schema import fixture_path
 
@@ -37,3 +40,16 @@ def test_golden(name, capsys):
         expected = fh.read()
     assert capsys.readouterr().out == expected
     assert code == case["exit"]
+
+
+def test_golden_through_process_stdout():
+    # the JSON writer on a real TextIOWrapper stdout, not a capture
+    name = "geompres-57crossings"
+    argv = [_resolve(a) for a in CASES[name]["argv"]]
+    src = os.path.dirname(os.path.dirname(twistlab.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import sys; from twistlab.cli import main; sys.exit(main(sys.argv[1:]))"
+    proc = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, env=env, timeout=60)
+    with open(os.path.join(GOLDEN, f"{name}.stdout"), "rb") as fh:
+        assert proc.stdout == fh.read()
+    assert proc.returncode == CASES[name]["exit"]

@@ -1,10 +1,13 @@
+import contextlib
+import io
 import json
 import sys
 import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from twistlab.cli import main
+from twistlab.cli import _emit, main
 from twistlab.errors import BudgetExceeded, SchemaError
 from twistlab.invariants import Factorization
 from twistlab.schema import (
@@ -510,13 +513,19 @@ class TestInputErrors:
 
     @pytest.mark.parametrize(
         "where, value",
-        [("genus", 10**9), ("fiber_genus", 10**9), ("--genus", 10**9), ("fiber_genus", MAX_GENUS + 1)],
+        [("genus", 10**9), ("fiber_genus", 10**9), ("--genus", 10**9), ("fiber_genus", MAX_GENUS + 1),
+         ("relators", "a1^100000"), ("relators", "a1^1500")],
     )
     def test_genus_budget(self, tmp_path, capsys, where, value):
-        # checked before any per-generator work
+        # checked before any per-generator work; a geometric presentation's
+        # letters before its chords, and its built genus g + crossings
+        # (a1^n has n - 1) as the crossings are counted
         path = tmp_path / "in.json"
         if where == "genus":
             path.write_text(json.dumps({"genus": value, "relators": [["a1"]]}))
+            argv = ["geompres", str(path)]
+        elif where == "relators":
+            path.write_text(json.dumps({"genus": 1, "relators": [[value]]}))
             argv = ["geompres", str(path)]
         elif where == "fiber_genus":
             path.write_text(json.dumps({"fiber_genus": value, "base_genus": 0, "curves": [], "word": []}))
@@ -611,3 +620,28 @@ class TestOneSmithForm:
         assert out["crossings"] == 101
         assert out["verification"]["pass"]
         assert all(rows <= 2 * 2 + len(relators) for rows, _ in calls), calls
+
+
+# JSON values as the commands build them, and more: nested str-keyed dicts,
+# lists and tuples, empty containers, int lists (the writer's joined case)
+# and ints beside bools, None, strings with escapes and non-ASCII, and a
+# Fraction, which is not JSON and takes default=str
+json_values = st.recursive(
+    st.one_of(
+        st.none(), st.booleans(), st.integers(), st.text(), st.fractions(),
+        st.lists(st.integers()), st.lists(st.one_of(st.integers(), st.booleans())),
+    ),
+    lambda inner: st.one_of(
+        st.lists(inner), st.lists(inner).map(tuple), st.dictionaries(st.text(), inner)
+    ),
+    max_leaves=10,
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.dictionaries(st.text(), json_values, max_size=5))
+def test_emit_matches_stdlib_json(payload):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        _emit(payload, True)
+    assert out.getvalue() == json.dumps(payload, indent=1, default=str) + "\n"

@@ -1,13 +1,16 @@
 import random
+import time
 
 import pytest
 
-from twistlab.errors import EmptyRelators, SchemaError
+from conftest import hub_crossings_oracle
+from twistlab.errors import DimensionMismatch, EmptyRelators, SchemaError
 from twistlab.exact import smith_diagonal, smith_normal_form
-from twistlab.presentations import SurfaceGroup, abelianize
+from twistlab.presentations import SurfaceGroup, abelianize, cyclic_reduce
 from twistlab.surfaces import Curve, SurfaceData
 from twistlab.systems import (
     CurveSystem,
+    _hub_crossings,
     adjacent,
     build_geometric_presentation,
     dual_graph,
@@ -119,6 +122,14 @@ class TestBuilder:
         with pytest.raises(EmptyRelators):
             build_geometric_presentation(SurfaceGroup(1), [(1, -1)])
 
+    def test_long_cyclic_reduction(self):
+        # a1^k b1 a1^-k reduces cyclically to b1 in time linear in k
+        k = 300000
+        start = time.perf_counter()
+        gp = build_geometric_presentation(SurfaceGroup(1), [(1,) * k + (2,) + (-1,) * k])
+        assert gp.relators == ((2,),)
+        assert time.perf_counter() - start < 1.0
+
     def test_disconnected_input_is_joined(self):
         # a1 and a2 on genus 2 have no forced crossings; finger moves join them
         gp = build_geometric_presentation(SurfaceGroup(2), [(1,), (3,)])
@@ -159,6 +170,22 @@ class TestBuilder:
             assert rep["pass"], (g, rels, rep)
             assert gp.genus == g + gp.crossings
 
+    def test_crossings_match_all_pairs_oracle(self):
+        # seeded relator sets, and powers whose chords share one band
+        rng = random.Random(20261019)
+        cases = [(1, [(1,) * 9]), (1, [(1,) * 5, (2,) * 4]), (2, [(1, 3, -1, -3), (2,) * 3])]
+        for _ in range(40):
+            g = rng.randint(1, 3)
+            rels = [
+                tuple(rng.choice([1, -1]) * rng.randint(1, 2 * g) for _ in range(rng.randint(1, 12)))
+                for _ in range(rng.randint(1, 4))
+            ]
+            cases.append((g, rels))
+        for g, rels in cases:
+            rels = [r for r in map(cyclic_reduce, rels) if r]
+            if rels:
+                assert _hub_crossings(rels, 2 * g, g) == hub_crossings_oracle(rels, 2 * g), (g, rels)
+
     def test_sparse_and_dense_quotient_diagonals_agree(self):
         def relator(rng, g):
             word = []
@@ -172,7 +199,8 @@ class TestBuilder:
             rels = [relator(rng, g) for _ in range(rng.randint(2, 3))]
             gp = build_geometric_presentation(SurfaceGroup(g), rels)
             m = gp.quotient.relator_matrix()
-            assert smith_diagonal(m) == smith_normal_form(m).diagonal, (g, rels)
+            rows = gp.quotient.relator_rows()
+            assert smith_diagonal(rows) == smith_normal_form(m).diagonal, (g, rels)
 
 
 class TestVerifier:
@@ -203,6 +231,10 @@ class TestVerifier:
         rep = verify_geometric_presentation(broken)
         assert not rep["union_connected"]
         assert not rep["pass"]
+
+    def test_class_of_wrong_length_rejected(self):
+        with pytest.raises(DimensionMismatch):
+            CurveSystem(SurfaceData(2), (Curve("a", (1, 0)), Curve("b", (0, 0, 0, 1))), ())
 
     def test_count_below_algebraic_rejected(self):
         with pytest.raises(SchemaError):
