@@ -8,11 +8,12 @@ transforms are reproducible across runs.
 from __future__ import annotations
 
 import heapq
+import operator
 from dataclasses import dataclass
 from itertools import compress
 from typing import Dict, List, Mapping, Optional, Sequence
 
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, SchemaError
 
 
 class IntMatrix:
@@ -21,7 +22,10 @@ class IntMatrix:
     __slots__ = ("rows", "cols", "entries")
 
     def __init__(self, entries: Sequence[Sequence[int]]):
-        rows = tuple(tuple(map(int, row)) for row in entries)
+        try:
+            rows = tuple(tuple(map(operator.index, row)) for row in entries)
+        except TypeError as ex:
+            raise SchemaError(f"matrix entry: {ex}") from None
         if rows:
             width = len(rows[0])
             if any(len(r) != width for r in rows):

@@ -9,12 +9,19 @@ from __future__ import annotations
 
 import json
 import os
-from typing import List, Tuple
+from typing import List, Sequence, Tuple
 
 from .errors import BudgetExceeded, SchemaError
 from .exact import IntMatrix
 from .invariants import Factorization
-from .presentations import FinitePresentation, SurfaceGroup, Word, format_word, parse_word
+from .presentations import (
+    MAX_WORD_LETTERS,
+    FinitePresentation,
+    SurfaceGroup,
+    Word,
+    format_word,
+    parse_word,
+)
 from .surfaces import Curve, SurfaceData
 from .systems import CurveSystem
 from .words import TwistLetter, TwistWord
@@ -154,6 +161,22 @@ def factorization_from_dict(data: dict) -> Factorization:
 # presentations
 
 
+def _parse_words(words: list, generators: Sequence[str]) -> List[Word]:
+    """The relators of one input file.  Each word is bounded by
+    MAX_WORD_LETTERS when parsed; BudgetExceeded as soon as the words read
+    so far pass it together, so a file never holds more than twice it."""
+    out: List[Word] = []
+    letters = 0
+    for tokens in words:
+        out.append(parse_word(tokens, generators))
+        letters += len(out[-1])
+        if letters > MAX_WORD_LETTERS:
+            raise BudgetExceeded(
+                f"the relators expand past {MAX_WORD_LETTERS} letters in all"
+            )
+    return out
+
+
 def presentation_to_dict(p: FinitePresentation) -> dict:
     return {
         "generators": list(p.generators),
@@ -170,8 +193,7 @@ def presentation_from_dict(data: dict) -> FinitePresentation:
     )
     rels = data.get("relators", [])
     _require(isinstance(rels, list), "relators must be a list of words")
-    words = tuple(parse_word(r, gens) for r in rels)
-    return FinitePresentation(tuple(gens), words)
+    return FinitePresentation(tuple(gens), tuple(_parse_words(rels, gens)))
 
 
 def geompres_from_dict(data: dict) -> Tuple[SurfaceGroup, List[Word], bool]:
@@ -183,7 +205,7 @@ def geompres_from_dict(data: dict) -> Tuple[SurfaceGroup, List[Word], bool]:
     _require(isinstance(words, list), "relators must be a list of words")
     nonseparating = data.get("ensure_nonseparating", False)
     _require(type(nonseparating) is bool, "ensure_nonseparating must be true or false")
-    return group, [parse_word(r, group.generator_names) for r in words], nonseparating
+    return group, _parse_words(words, group.generator_names), nonseparating
 
 
 # ---------------------------------------------------------------------------

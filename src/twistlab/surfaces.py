@@ -7,6 +7,7 @@ have matrices [[1,1],[0,1]] and [[1,0],[-1,1]].
 """
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
@@ -35,7 +36,10 @@ class Curve:
     word: Optional[Tuple[int, ...]] = None
 
     def __post_init__(self):
-        h = tuple(map(int, self.homology))
+        try:
+            h = tuple(map(operator.index, self.homology))
+        except TypeError as ex:
+            raise SchemaError(f"curve {self.name}: homology entry: {ex}") from None
         object.__setattr__(self, "homology", h)
         if self.separating != (not any(h)):
             raise SchemaError(

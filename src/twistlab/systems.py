@@ -6,8 +6,9 @@ Strand ports sit on the hub boundary in the cyclic order induced by the
 standard 4g-gon vertex link (out_a, out_b, in_a, in_b per handle); repeated
 traversals of a generator run in parallel lanes through its band, with the
 lane order reversed at the far end (untwisted orientable band).  Crossings
-are chord crossings inside the hub, computed exactly on rational points of
-the unit circle.  Minimality of the crossing count is irrelevant; determinism
+are chord crossings inside the hub; the ports are in convex position, so
+each crossing's sign and its place along both chords follow from the port
+indices alone.  Minimality of the crossing count is irrelevant; determinism
 is what matters.
 """
 from __future__ import annotations
@@ -179,20 +180,12 @@ def graph_connected_to(
 # geometric-presentation builder
 
 
-def _circle_point(k: int, n: int) -> Tuple[Fraction, Fraction]:
-    # rational points on the unit circle, cyclic order = index order
-    t = Fraction(2 * k - (n - 1), 2)
-    d = 1 + t * t
-    return ((1 - t * t) / d, 2 * t / d)
-
-
 @dataclass(frozen=True)
 class _Crossing:
-    index: int
     sign: int                      # local sign, branch1 x branch2
-    branch1: Tuple[int, int]       # (relator, gap)
+    branch1: Tuple[int, int]       # (relator, gap), before branch2
     branch2: Tuple[int, int]
-    param1: Fraction               # position along each chord
+    param1: Fraction               # order key along each chord
     param2: Fraction
 
 
@@ -208,7 +201,9 @@ class GeometricPresentation:
 
 
 def _chords(relators: Sequence[Word], n_gens: int):
-    """Hub ports and chords of the based-loop arrangement."""
+    """The chords of the based-loop arrangement, one per relator gap, as
+    (relator, gap, start port, end port); every hub port is the end of
+    exactly one chord."""
     # lanes per generator in (relator, position) order
     lanes: Dict[int, int] = {}
     lane_of: Dict[Tuple[int, int], int] = {}
@@ -233,7 +228,6 @@ def _chords(relators: Sequence[Word], n_gens: int):
     for sz in slot_sizes:
         offsets.append(acc)
         acc += sz
-    total = acc
 
     def port(slot: int, lane: int, flip: bool) -> int:
         size = slot_sizes[slot]
@@ -255,51 +249,40 @@ def _chords(relators: Sequence[Word], n_gens: int):
             _, arr = ends(ri, j, rel[j])
             dep, _ = ends(ri, (j + 1) % m, rel[(j + 1) % m])
             chords.append((ri, j, arr, dep))
-    return chords, total
-
-
-def _segment_crossing(p1, p2, q1, q2):
-    """Exact crossing of open segments p1p2, q1q2; returns (s, t) parameters
-    or None."""
-    d1 = (p2[0] - p1[0], p2[1] - p1[1])
-    d2 = (q2[0] - q1[0], q2[1] - q1[1])
-    denom = d1[0] * d2[1] - d1[1] * d2[0]
-    if denom == 0:
-        return None
-    w = (q1[0] - p1[0], q1[1] - p1[1])
-    s = (w[0] * d2[1] - w[1] * d2[0]) / denom
-    t = (w[0] * d1[1] - w[1] * d1[0]) / denom
-    if 0 < s < 1 and 0 < t < 1:
-        return s, t, (1 if denom > 0 else -1)
-    return None
+    return chords
 
 
 def _hub_crossings(rels: Sequence[Word], n_gens: int, genus: int) -> List[_Crossing]:
     """The crossings of the relators' chords, ordered by (first chord, second
     chord).  Each crossing adds a handle to the built surface, whose genus is
-    `genus` before any: BudgetExceeded as soon as it passes MAX_GENUS."""
+    `genus` before any: BudgetExceeded as soon as it passes MAX_GENUS.
+
+    Port k of n sits on the unit circle at stereographic parameter
+    t_k = k - (n - 1)/2, so the ports are in convex position in index order.
+    Every port is the end of exactly one chord, so two chords cross iff
+    exactly one end of the second lies strictly between the ends of the
+    first.  At parameter s along chord a1 -> b1, where chord a2 -> b2
+    crosses it, s/(1 - s) = C (a2 - a1)(b2 - a1) / ((b1 - a2)(b2 - b1)) with
+    C = (1 + t_b1^2)/(1 + t_a1^2) the same for every crossing on the chord:
+    that quotient of port indices orders the crossings along the chord,
+    equal exactly where s is, and positive.
+    """
     from .schema import check_genus  # schema imports this module
 
-    chords, total = _chords(rels, n_gens)
-    pts = [_circle_point(k, total) for k in range(total)]
-    # every port is the end of exactly one chord, so the ends are distinct
-    # points in convex position: two chords cross iff exactly one end of the
-    # second lies strictly between the ends of the first.  Only crossing
-    # pairs pay for the exact parameters.
+    chords = _chords(rels, n_gens)
     crossings: List[_Crossing] = []
     for i, (ri, ji, a1, b1) in enumerate(chords):
         lo, hi = (a1, b1) if a1 < b1 else (b1, a1)
         for rk, jk, a2, b2 in chords[i + 1:]:
-            if (lo < a2 < hi) != (lo < b2 < hi):
-                s, t, sign = _segment_crossing(pts[a1], pts[b1], pts[a2], pts[b2])
+            inside = lo < a2 < hi
+            if inside != (lo < b2 < hi):
                 crossings.append(
                     _Crossing(
-                        index=len(crossings),
-                        sign=sign,
+                        sign=1 if inside == (a1 < b1) else -1,
                         branch1=(ri, ji),
                         branch2=(rk, jk),
-                        param1=s,
-                        param2=t,
+                        param1=Fraction((a2 - a1) * (b2 - a1), (b1 - a2) * (b2 - b1)),
+                        param2=Fraction((a1 - a2) * (b1 - a2), (b2 - a1) * (b1 - b2)),
                     )
                 )
         check_genus(genus + len(crossings), "the built genus")
@@ -349,8 +332,6 @@ def build_geometric_presentation(
         i, k = c.branch1[0], c.branch2[0]
         if i < k:
             signed[i, k] = signed.get((i, k), 0) + c.sign
-        elif k < i:
-            signed[k, i] = signed.get((k, i), 0) - c.sign
     for i in range(len(rels)):
         for k in range(i + 1, len(rels)):
             alg = intersection_pairing(classes[i], classes[k])
@@ -376,17 +357,9 @@ def build_geometric_presentation(
     roots = sorted({find(i) for i in range(len(rels))})
     for extra_root in roots[1:]:
         r0, r1 = roots[0], extra_root
+        # key 0 sorts before every chord crossing's positive key
         for sgn in (1, -1):
-            crossings.append(
-                _Crossing(
-                    index=len(crossings),
-                    sign=sgn,
-                    branch1=(min(r0, r1), 0),
-                    branch2=(max(r0, r1), 0),
-                    param1=Fraction(0),
-                    param2=Fraction(0),
-                )
-            )
+            crossings.append(_Crossing(sgn, (r0, 0), (r1, 0), Fraction(0), Fraction(0)))
         comp[max(find(r0), find(r1))] = min(find(r0), find(r1))
 
     n_cross = len(crossings)
@@ -403,17 +376,10 @@ def build_geometric_presentation(
     # over b_p with the sign that cancels the crossing's homological
     # contribution (<a_p, b_p> = +1 forces exponent -sign)
     insertions: Dict[int, Dict[int, list]] = {ri: {} for ri in range(len(rels))}
-    for c in crossings:
-        first = min(c.branch1, c.branch2)
-        second = max(c.branch1, c.branch2)
-        p1 = c.param1 if first == c.branch1 else c.param2
-        p2 = c.param2 if first == c.branch1 else c.param1
-        # orientation sign relative to the lex-ordered branches
-        sgn = c.sign if first == c.branch1 else -c.sign
-        ins1 = (p1, c.index, a_gen(c.index))
-        ins2 = (p2, c.index, -b_gen(c.index) if sgn > 0 else b_gen(c.index))
-        insertions[first[0]].setdefault(first[1], []).append(ins1)
-        insertions[second[0]].setdefault(second[1], []).append(ins2)
+    for p, c in enumerate(crossings):
+        (r1, j1), (r2, j2) = c.branch1, c.branch2
+        insertions[r1].setdefault(j1, []).append((c.param1, p, a_gen(p)))
+        insertions[r2].setdefault(j2, []).append((c.param2, p, -c.sign * b_gen(p)))
 
     curve_words: List[Word] = []
     for ri, rel in enumerate(rels):
@@ -444,8 +410,7 @@ def build_geometric_presentation(
         curves.append(Curve(na, ca, word=(a_gen(p),)))
         curves.append(Curve(nb, cb, word=(b_gen(p),)))
         counts.append((na, nb, 1))
-        r1 = min(c.branch1, c.branch2)[0]
-        r2 = max(c.branch1, c.branch2)[0]
+        r1, r2 = c.branch1[0], c.branch2[0]
         # branch1 carries a_p so its curve crosses b_p, and vice versa
         counts.append((names[r1], nb, 1))
         counts.append((names[r2], na, 1))

@@ -20,7 +20,7 @@ from twistlab.metaplectic import (
 )
 from twistlab.schema import load_fixture
 from twistlab.surfaces import Curve, symplectic_j, twist_transvection
-from twistlab.systems import _chords, _circle_point, _Crossing, _segment_crossing
+from twistlab.systems import _chords, _Crossing
 from twistlab.words import TwistLetter, TwistWord
 
 CURVE_A = Curve("a", (1, 0), word=(1,))
@@ -181,12 +181,36 @@ def evaluate_homological_oracle(word) -> IntMatrix:
     return acc
 
 
+def _circle_point(k: int, n: int) -> Tuple[Fraction, Fraction]:
+    # rational points on the unit circle, cyclic order = index order
+    t = Fraction(2 * k - (n - 1), 2)
+    d = 1 + t * t
+    return ((1 - t * t) / d, 2 * t / d)
+
+
+def _segment_crossing(p1, p2, q1, q2):
+    """Exact crossing of open segments p1p2, q1q2; returns (s, t) parameters
+    and the sign, or None."""
+    d1 = (p2[0] - p1[0], p2[1] - p1[1])
+    d2 = (q2[0] - q1[0], q2[1] - q1[1])
+    denom = d1[0] * d2[1] - d1[1] * d2[0]
+    if denom == 0:
+        return None
+    w = (q1[0] - p1[0], q1[1] - p1[1])
+    s = (w[0] * d2[1] - w[1] * d2[0]) / denom
+    t = (w[0] * d1[1] - w[1] * d1[0]) / denom
+    if 0 < s < 1 and 0 < t < 1:
+        return s, t, (1 if denom > 0 else -1)
+    return None
+
+
 def hub_crossings_oracle(rels, n_gens: int):
     """The chord crossings of the hub drawing by the exact segment test on
-    every pair of chords, in pair order: the route that the port
-    interleaving test is compared against."""
-    chords, total = _chords(rels, n_gens)
-    pts = [_circle_point(k, total) for k in range(total)]
+    every pair of chords, in pair order, with the ports at rational points of
+    the unit circle: the route that the port-index signs and order keys are
+    compared against.  param1 and param2 are the true parameters s, t."""
+    chords = _chords(rels, n_gens)
+    pts = [_circle_point(k, 2 * len(chords)) for k in range(2 * len(chords))]
     crossings = []
     for i in range(len(chords)):
         ri, ji, a1, b1 = chords[i]
@@ -195,7 +219,7 @@ def hub_crossings_oracle(rels, n_gens: int):
             hit = _segment_crossing(pts[a1], pts[b1], pts[a2], pts[b2])
             if hit:
                 s, t, sign = hit
-                crossings.append(_Crossing(len(crossings), sign, (ri, ji), (rk, jk), s, t))
+                crossings.append(_Crossing(sign, (ri, ji), (rk, jk), s, t))
     return crossings
 
 

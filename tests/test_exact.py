@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import matmul_oracle
-from twistlab.errors import DimensionMismatch
+from twistlab.errors import DimensionMismatch, SchemaError
 from twistlab.exact import (
     F2Matrix,
     IntMatrix,
@@ -22,6 +22,12 @@ def diag_matrix(snf, shape):
     rows, cols = shape
     return IntMatrix([[snf.diagonal[i] if i == j and i < snf.rank else 0 for j in range(cols)]
                       for i in range(rows)])
+
+
+@pytest.mark.parametrize("entry", [0.5, 2.0, "3"])
+def test_int_matrix_rejects_non_integer_entries(entry):
+    with pytest.raises(SchemaError, match="matrix entry"):
+        IntMatrix([[1, entry], [0, 1]])
 
 
 class TestSmithNormalForm:

@@ -19,6 +19,7 @@ from twistlab.schema import (
     factorization_from_dict,
     factorization_to_dict,
     fixture_path,
+    geompres_from_dict,
     load_fixture,
     presentation_from_dict,
     presentation_to_dict,
@@ -120,6 +121,20 @@ class TestRoundTrips:
             check_genus(MAX_GENUS + 1, "genus")
         with pytest.raises(SchemaError):
             check_genus(0, "genus", 1)
+
+    @pytest.mark.parametrize(
+        "read, data",
+        [
+            (geompres_from_dict, {"genus": 1, "relators": [["a1^400000"]] * 5}),
+            (presentation_from_dict, {"generators": ["a1"], "relators": [["a1^400000"]] * 5}),
+        ],
+    )
+    def test_file_letter_budget(self, read, data):
+        # each word is within the 10^6-letter word budget, the file is not
+        with pytest.raises(BudgetExceeded, match="in all"):
+            read(data)
+        data["relators"] = data["relators"][:2]
+        read(data)  # 800000 letters in all
 
     def test_schema_errors(self):
         with pytest.raises(SchemaError):

@@ -32,6 +32,15 @@ class TestCurve:
         with pytest.raises(SchemaError):
             Curve("v2", (1, -1), word=(1, 2))
 
+    @pytest.mark.parametrize("entry", [1.5, "1", 1.0, None])
+    def test_non_integer_entry_rejected_by_name(self, entry):
+        # each entry was once coerced with int(), so 1.5 and "1" read as 1
+        with pytest.raises(SchemaError, match="curve c7:"):
+            Curve("c7", (entry, 0))
+
+    def test_integer_likes_become_plain_ints(self):
+        assert type(Curve("t", (True, 0)).homology[0]) is int
+
 
 class TestPairing:
     def test_convention(self):

@@ -1,5 +1,7 @@
 import random
 import time
+from itertools import groupby
+from operator import itemgetter
 
 import pytest
 
@@ -171,9 +173,29 @@ class TestBuilder:
             assert gp.genus == g + gp.crossings
 
     def test_crossings_match_all_pairs_oracle(self):
-        # seeded relator sets, and powers whose chords share one band
+        # the port-index route against the exact segment route: the same
+        # crossing chord pairs in the same order, the same signs, and the
+        # same order along every chord, ties included
+        def along_chords(crossings):
+            hits = {}
+            for p, c in enumerate(crossings):
+                hits.setdefault(c.branch1, []).append((c.param1, p))
+                hits.setdefault(c.branch2, []).append((c.param2, p))
+            # per chord, runs of crossings at one point, in order along it
+            return {
+                chord: [[p for _, p in run] for _, run in groupby(sorted(h), key=itemgetter(0))]
+                for chord, h in hits.items()
+            }
+
+        # seeded relator sets, powers whose chords share one band, and a set
+        # with crossings concurrent on a chord
+        concurrent = (3, [
+            (-6, -5, -6, -1, 6, 3, -6, -3, -2, -2, -3, -3, -1, 5, 3),
+            (-2, -2, -6, 1, -3, 4, 1, -6),
+            (-3, 1, 5, 3, 3, -6, 5),
+        ])
         rng = random.Random(20261019)
-        cases = [(1, [(1,) * 9]), (1, [(1,) * 5, (2,) * 4]), (2, [(1, 3, -1, -3), (2,) * 3])]
+        cases = [(1, [(1,) * 9]), (1, [(1,) * 5, (2,) * 4]), (2, [(1, 3, -1, -3), (2,) * 3]), concurrent]
         for _ in range(40):
             g = rng.randint(1, 3)
             rels = [
@@ -183,8 +205,17 @@ class TestBuilder:
             cases.append((g, rels))
         for g, rels in cases:
             rels = [r for r in map(cyclic_reduce, rels) if r]
-            if rels:
-                assert _hub_crossings(rels, 2 * g, g) == hub_crossings_oracle(rels, 2 * g), (g, rels)
+            if not rels:
+                continue
+            got, want = _hub_crossings(rels, 2 * g, g), hub_crossings_oracle(rels, 2 * g)
+            assert [(c.branch1, c.branch2) for c in got] == [(c.branch1, c.branch2) for c in want]
+            assert [c.sign for c in got] == [c.sign for c in want], (g, rels)
+            assert along_chords(got) == along_chords(want), (g, rels)
+            # a finger move's key 0 sorts before every chord crossing
+            assert all(c.param1 > 0 and c.param2 > 0 for c in got)
+        g, rels = concurrent
+        runs = along_chords(_hub_crossings(rels, 2 * g, g)).values()
+        assert any(len(run) > 1 for chord in runs for run in chord)
 
     def test_sparse_and_dense_quotient_diagonals_agree(self):
         def relator(rng, g):
