@@ -17,23 +17,16 @@ from .invariants import (
     euler_characteristic,
     fiber_sum,
     h1_total_space,
-    hodge_pairing,
     invariant_report,
-    liu_bound_report,
     mu,
-    pi1_presentation,
     signature,
     torelli_certificate,
-    verify_higher_base,
 )
 from .metaplectic import (
     LagrangianLine,
     MetaElement,
-    TildeLambdaPoint,
-    act_tilde_lambda,
     boundary_multiplicity,
     cocycle,
-    displacement,
     evaluate_meta_word,
     lift_generators,
     maslov_index,
@@ -47,7 +40,6 @@ from .presentations import (
     FinitePresentation,
     SurfaceGroup,
     abelianize,
-    commutator_defect,
     lift_loop,
     quotient_by_normal_closure,
     reidemeister_schreier_double_cover,
@@ -56,20 +48,10 @@ from .surfaces import Curve, SurfaceData, intersection_pairing, is_symplectic, t
 from .systems import (
     CurveSystem,
     DualGraph,
-    adjacent,
     build_geometric_presentation,
     dual_graph,
-    graph_connected_to,
     verify_geometric_presentation,
 )
-from .words import (
-    TwistLetter,
-    TwistWord,
-    conjugate_adjacent,
-    evaluate_homological,
-    express_inverse_positively,
-    invert_from_positive_relation,
-    is_positive,
-)
+from .words import TwistLetter, TwistWord, evaluate_homological, is_positive
 
 __version__ = "0.1.0"

@@ -25,14 +25,6 @@ class NotPositive(TwistlabError):
     """Operation requires a positive twist word."""
 
 
-class NotAdjacent(TwistlabError):
-    """Curves do not intersect in a single point (homological proxy)."""
-
-
-class NotConnected(TwistlabError):
-    """No adjacency path between the given curve systems."""
-
-
 class NotARelation(TwistlabError):
     """Word does not evaluate to the identity homologically."""
 
@@ -49,28 +41,12 @@ class InvalidElement(TwistlabError):
     """Pair (matrix, n) fails the metaplectic membership predicate."""
 
 
-class InvalidPoint(TwistlabError):
-    """Pair (line, k) fails the covered-Grassmannian parity condition."""
-
-
 class GenusMismatch(TwistlabError):
     pass
 
 
-class MissingWords(TwistlabError):
-    """Operation requires fundamental-group words on every curve."""
-
-
 class MissingCommutatorData(TwistlabError):
     """Higher-genus base verification needs the commutator factor data."""
-
-
-class SignatureUnknown(TwistlabError):
-    pass
-
-
-class LambdaUnknown(TwistlabError):
-    pass
 
 
 class EmptyRelators(TwistlabError):

@@ -73,9 +73,6 @@ class IntMatrix:
             out.append(acc)
         return IntMatrix(out)
 
-    def __neg__(self) -> "IntMatrix":
-        return IntMatrix([[-a for a in row] for row in self.entries])
-
     def transpose(self) -> "IntMatrix":
         return IntMatrix(list(zip(*self.entries)) if self.entries else [])
 
@@ -332,7 +329,10 @@ class F2Matrix:
     __slots__ = ("rows", "cols", "entries")
 
     def __init__(self, entries: Sequence[Sequence[int]]):
-        rows = tuple(tuple(int(x) & 1 for x in row) for row in entries)
+        try:
+            rows = tuple(tuple(operator.index(x) & 1 for x in row) for row in entries)
+        except TypeError as ex:
+            raise SchemaError(f"matrix entry: {ex}") from None
         width = len(rows[0]) if rows else 0
         if any(len(r) != width for r in rows):
             raise DimensionMismatch("ragged rows")
@@ -366,7 +366,10 @@ def solve_f2(a: F2Matrix, b: Sequence[int]) -> Optional[tuple]:
     """
     if len(b) != a.rows:
         raise DimensionMismatch("rhs length")
-    m = [list(row) + [int(bi) & 1] for row, bi in zip(a.entries, b)]
+    try:
+        m = [list(row) + [operator.index(bi) & 1] for row, bi in zip(a.entries, b)]
+    except TypeError as ex:
+        raise SchemaError(f"right-hand side entry: {ex}") from None
     n = a.cols
     pivots = []
     r = 0

@@ -13,25 +13,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
-from .errors import (
-    GenusMismatch,
-    LambdaUnknown,
-    MissingCommutatorData,
-    MissingWords,
-    NotCentral,
-    NotPositive,
-    SchemaError,
-    SignatureUnknown,
-)
+from .errors import GenusMismatch, MissingCommutatorData, NotCentral, NotPositive, SchemaError
 from .exact import IntMatrix, smith_diagonal, sparse_rows
 from .metaplectic import MetaElement, boundary_multiplicity, szpiro_report
-from .presentations import (
-    AbelianInvariants,
-    FinitePresentation,
-    SurfaceGroup,
-    abelianize,
-    quotient_by_normal_closure,
-)
+from .presentations import AbelianInvariants
 from .surfaces import Curve, is_symplectic, symplectic_inverse
 from .words import TwistWord, evaluate_homological, is_positive
 
@@ -105,24 +90,6 @@ def euler_characteristic(f: Factorization) -> int:
     return (2 - 2 * f.base_genus) * (2 - 2 * f.fiber_genus) + m
 
 
-def pi1_presentation(f: Factorization) -> FinitePresentation:
-    """Surface group of the fiber modulo the vanishing-cycle words."""
-    if f.base_genus != 0:
-        raise SchemaError("pi1 presentation implemented for base genus 0")
-    return _fiber_quotient(f)
-
-
-def _fiber_quotient(f: Factorization) -> FinitePresentation:
-    """The fiber's surface group modulo the vanishing cycles' words;
-    MissingWords when a cycle carries none."""
-    words = []
-    for c in f.cycles():
-        if c.word is None:
-            raise MissingWords(f"curve {c.name} carries no fundamental-group word")
-        words.append(c.word)
-    return quotient_by_normal_closure(SurfaceGroup(f.fiber_genus).presentation(), words)
-
-
 def h1_total_space(f: Factorization) -> AbelianInvariants:
     """H1 of the total space: Z^2g modulo the span of the vanishing-cycle
     classes (Smith normal form)."""
@@ -168,15 +135,6 @@ def _not_computed(external: Optional[int]) -> Tuple[Optional[int], str]:
     if external is not None:
         return int(external), "external"
     return None, "unknown"
-
-
-def hodge_pairing(f: Factorization, external_signature: Optional[int] = None) -> Fraction:
-    """lambda = (sign + mu)/4; raises when the signature is unknown and
-    reports non-integer values as an inconsistency."""
-    sign, _ = signature(f, external_signature)
-    if sign is None:
-        raise SignatureUnknown("hodge pairing needs a signature")
-    return _lambda(sign, f.word.total_exponent())
 
 
 def _lambda(sign: int, m: int) -> Fraction:
@@ -234,15 +192,6 @@ class LiuBound:
     passes: bool
 
 
-def liu_bound_report(f: Factorization, external_signature: Optional[int] = None) -> LiuBound:
-    """Exact rational check of lambda > (4g - 5)/6."""
-    try:
-        lam = hodge_pairing(f, external_signature)
-    except SignatureUnknown as ex:
-        raise LambdaUnknown(str(ex))
-    return _liu(lam, f.fiber_genus)
-
-
 def _liu(lam: Fraction, fiber_genus: int) -> LiuBound:
     bound = Fraction(4 * fiber_genus - 5, 6)
     return LiuBound(lam=lam, bound=bound, passes=lam > bound)
@@ -265,38 +214,6 @@ def fiber_sum(f1: Factorization, f2: Factorization) -> Factorization:
         base_genus=0,
         word=f1.word * f2.word,
         curves=tuple(merged.values()),
-    )
-
-
-@dataclass(frozen=True)
-class HigherBaseReport:
-    identity_holds: bool
-    residual: IntMatrix
-    kernel_presentation: Optional[FinitePresentation]
-    kernel_abelianization: Optional[AbelianInvariants]
-
-
-def verify_higher_base(f: Factorization) -> HigherBaseReport:
-    """Check eval(word) equals the product of the supplied commutators, and
-    emit the fiber-side quotient (relators = vanishing-cycle words) with its
-    abelianization."""
-    if f.base_genus <= 0:
-        raise SchemaError("base genus must be positive")
-    if f.commutator_part is None and f.word.letters:
-        raise MissingCommutatorData("commutator data required")
-    ok, residual = f.verify_homological()
-    pres = None
-    ab = None
-    try:
-        pres = _fiber_quotient(f)
-        ab = abelianize(pres)
-    except MissingWords:
-        pass
-    return HigherBaseReport(
-        identity_holds=ok,
-        residual=residual,
-        kernel_presentation=pres,
-        kernel_abelianization=ab,
     )
 
 

@@ -9,10 +9,10 @@ reference Lagrangian l0 = span(p).
 Lagrangian lines are primitive integer vectors up to sign; every order and
 betweenness computation is an exact sign of a 2x2 determinant.
 
-There is one group law (``multiply``, ``meta_inverse``, ``cocycle``,
-``act_tilde_lambda``), and every evaluation goes through ``maslov_index``.
-Its value is the cyclic-order rule, cross-checked on every call against the
-integer closed form -sign(w12 w23 w31) of the signature of the Maslov form.
+There is one group law (``multiply``, ``meta_inverse``, ``cocycle``), and
+every evaluation goes through ``maslov_index``.  Its value is the
+cyclic-order rule, cross-checked on every call against the integer closed
+form -sign(w12 w23 w31) of the signature of the Maslov form.
 A word's value comes from its homological product and the exponent-sum
 homomorphism h: ~SL(2,Z) -> Z, lifted once through the group law; the same h
 is the positivity obstruction, which needs no search.
@@ -20,18 +20,11 @@ is the positivity obstruction, which needs no search.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import List, Optional, Tuple, Union
 
-from .errors import (
-    BudgetExceeded,
-    InvalidElement,
-    InvalidPoint,
-    NotCentral,
-    NotPositive,
-    SchemaError,
-)
+from .errors import BudgetExceeded, InvalidElement, NotCentral, NotPositive, SchemaError
 from .presentations import MAX_WORD_LETTERS
 from .surfaces import Curve
 from .words import TwistLetter, TwistWord, evaluate_homological, is_positive
@@ -71,7 +64,10 @@ class LagrangianLine:
     vector: Tuple[int, int]
 
     def __post_init__(self):
-        x, y = (int(v) for v in self.vector)
+        try:
+            x, y = map(operator.index, self.vector)
+        except TypeError as ex:
+            raise SchemaError(f"line entry: {ex}") from None
         if x == 0 and y == 0:
             raise SchemaError("zero vector is not a line")
         g = math.gcd(x, y)
@@ -83,20 +79,8 @@ class LagrangianLine:
     def apply(self, m: Mat2) -> "LagrangianLine":
         return LagrangianLine(mat_apply(m, self.vector))
 
-    def angle_lt(self, other: "LagrangianLine") -> bool:
-        """theta(self) < theta(other), exactly."""
-        a, b = self.vector, other.vector
-        return a[0] * b[1] - a[1] * b[0] > 0
-
-    def fraction_of_pi(self) -> Optional[Fraction]:
-        """theta as an exact multiple of pi when standard, else None."""
-        table = {(1, 0): Fraction(0), (1, 1): Fraction(1, 4),
-                 (0, 1): Fraction(1, 2), (-1, 1): Fraction(3, 4)}
-        return table.get(self.vector)
-
 
 LINE_P = LagrangianLine((1, 0))
-LINE_Q = LagrangianLine((0, 1))
 
 
 def _maslov_cyclic(l1: LagrangianLine, l2: LagrangianLine, l3: LagrangianLine) -> int:
@@ -151,7 +135,11 @@ class MetaElement:
     n: int
 
     def __post_init__(self):
-        m = tuple(tuple(int(x) for x in row) for row in self.matrix)
+        try:
+            m = tuple(tuple(map(operator.index, row)) for row in self.matrix)
+            object.__setattr__(self, "n", operator.index(self.n))
+        except TypeError as ex:
+            raise SchemaError(f"metaplectic entry: {ex}") from None
         object.__setattr__(self, "matrix", m)
         if m[0][0] * m[1][1] - m[0][1] * m[1][0] != 1:
             raise InvalidElement("matrix not in SL(2,Z)")
@@ -320,120 +308,6 @@ def szpiro_report(word, n: int) -> SzpiroReport:
         sigma_squared=-n,
         sum_is_12n=(total == 12 * n),
         syllables_exceed_2n=(syllables > 2 * n),
-    )
-
-
-# ---------------------------------------------------------------------------
-# the covered Lagrangian Grassmannian
-
-
-@dataclass(frozen=True)
-class TildeLambdaPoint:
-    """Point (line, k) of the universal cover; k has the parity of
-    1 + dim(line n span(p)).
-
-    The real coordinate is theta~ = theta(line) - ceil(k/2) pi.  (The naive
-    linear-in-k version theta - k pi/2 agrees on even k and on all the pinned
-    calibration data but identifies the distinct points (p, 0) and (q, 1), so
-    it is not injective; the parity constraint forces the ceiling.)  One unit
-    of the central generator (I, 4) translates theta~ by -2 pi and the deck
-    step k -> k + 2 by -pi."""
-
-    line: LagrangianLine
-    k: int
-
-    def __post_init__(self):
-        if not self.is_valid():
-            raise InvalidPoint(f"parity violation at {self}")
-
-    def is_valid(self) -> bool:
-        dim = 1 if self.line == LINE_P else 0
-        return self.k % 2 == (1 + dim) % 2
-
-    def pi_steps(self) -> int:
-        return (self.k + 1) // 2  # ceil(k / 2)
-
-    def theta_fraction(self) -> Optional[Fraction]:
-        """theta~ as an exact multiple of pi, when the line is at a standard
-        angle."""
-        f = self.line.fraction_of_pi()
-        if f is None:
-            return None
-        return f - self.pi_steps()
-
-
-def act_tilde_lambda(x: MetaElement, pt: TildeLambdaPoint) -> TildeLambdaPoint:
-    """(g, n) . (l, k) = (g l, n + k + tau(l0, g l0, g l))."""
-    if not x.is_valid():
-        raise InvalidElement(str(x))
-    new_line = pt.line.apply(x.matrix)
-    k = x.n + pt.k + maslov_index(LINE_P, LINE_P.apply(x.matrix), new_line)
-    return TildeLambdaPoint(new_line, k)
-
-
-@dataclass(frozen=True)
-class Displacement:
-    """theta~ difference.
-
-    ``pi_fraction`` is an exact multiple of pi whenever both lines sit at
-    standard angles (multiples of pi/4); ``cmp_half_pi`` compares the exact
-    value against any multiple of pi/2 without ever touching floats."""
-
-    line_before: LagrangianLine
-    line_after: LagrangianLine
-    pi_step_diff: int  # ceil(k_after/2) - ceil(k_before/2)
-
-    def pi_fraction(self) -> Optional[Fraction]:
-        f1 = self.line_before.fraction_of_pi()
-        f2 = self.line_after.fraction_of_pi()
-        if f1 is None or f2 is None:
-            return None
-        return f2 - f1 - self.pi_step_diff
-
-    def cmp_half_pi(self, m: int) -> int:
-        """Exact sign of (displacement - m pi/2); never uses floats."""
-        # displacement = dtheta - pi_step_diff * pi with dtheta in (-pi, pi)
-        t = m + 2 * self.pi_step_diff  # compare dtheta against t * pi/2
-        la, lb = self.line_before, self.line_after
-        if lb == la:
-            dtheta_cmp0 = 0
-        elif la.angle_lt(lb):
-            dtheta_cmp0 = 1
-        else:
-            dtheta_cmp0 = -1
-        if t >= 2:
-            return -1
-        if t <= -2:
-            return 1
-        if t == 0:
-            return dtheta_cmp0
-        if t == 1:
-            # dtheta vs pi/2: rotate la by +pi/2 (wraps when theta >= pi/2)
-            if la.vector[0] <= 0:
-                return -1  # theta(la) >= pi/2 so theta(lb) < theta(la) + pi/2
-            rot = LagrangianLine((-la.vector[1], la.vector[0]))
-            if lb == rot:
-                return 0
-            return 1 if rot.angle_lt(lb) else -1
-        # t == -1: dtheta + pi/2 has the sign of theta(lb) + pi/2 - theta(la)
-        if lb.vector[0] <= 0:
-            return 1  # theta(lb) + pi/2 wraps past pi, above any theta(la)
-        rot = LagrangianLine((-lb.vector[1], lb.vector[0]))
-        if la == rot:
-            return 0
-        return 1 if la.angle_lt(rot) else -1
-
-    def in_interval_closed(self, lo_halves: int, hi_halves: int) -> bool:
-        """displacement in [lo pi/2, hi pi/2], exactly."""
-        return self.cmp_half_pi(lo_halves) >= 0 and self.cmp_half_pi(hi_halves) <= 0
-
-
-def displacement(x: MetaElement, pt: TildeLambdaPoint) -> Displacement:
-    after = act_tilde_lambda(x, pt)
-    return Displacement(
-        line_before=pt.line,
-        line_after=after.line,
-        pi_step_diff=after.pi_steps() - pt.pi_steps(),
     )
 
 

@@ -5,10 +5,10 @@ Words are tuples of nonzero signed integers: +k is the k-th generator
 """
 from __future__ import annotations
 
-import math
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from operator import index
+from typing import Dict, List, Sequence, Tuple
 
 from .errors import BudgetExceeded, DimensionMismatch, SchemaError, ZeroCharacter
 from .exact import IntMatrix, inverse_unimodular, smith_diagonal, smith_normal_form
@@ -21,11 +21,14 @@ MAX_WORD_LETTERS = 10**6
 
 def free_reduce(word: Sequence[int]) -> Word:
     out: List[int] = []
-    for x in word:
-        if out and out[-1] == -x:
-            out.pop()
-        else:
-            out.append(int(x))
+    try:
+        for x in word:
+            if out and out[-1] == -x:
+                out.pop()
+            else:
+                out.append(index(x))
+    except TypeError as ex:
+        raise SchemaError(f"word letter: {ex}") from None
     return tuple(out)
 
 
@@ -39,22 +42,6 @@ def cyclic_reduce(word: Sequence[int]) -> Word:
 
 def inverse_word(word: Sequence[int]) -> Word:
     return tuple(-x for x in reversed(word))
-
-
-def concat(*words: Sequence[int]) -> Word:
-    out: List[int] = []
-    for w in words:
-        out.extend(w)
-    return free_reduce(out)
-
-
-def canonical_rotation(word: Sequence[int]) -> Word:
-    """Lexicographically least rotation, the chosen representative of a
-    cyclic word."""
-    w = tuple(word)
-    if not w:
-        return w
-    return min(w[i:] + w[:i] for i in range(len(w)))
 
 
 def exponent_vector(word: Sequence[int], n_generators: int) -> tuple:
@@ -175,40 +162,6 @@ def quotient_by_normal_closure(
     return FinitePresentation(p.generators, p.relators + new)
 
 
-def commutator_defect(p: FinitePresentation, word: Sequence[int]) -> tuple:
-    """Image of a word in the abelianization of p, in Smith coordinates.
-
-    The result has one entry per torsion factor (reduced into [0, d)) followed
-    by one per free factor.  All zero means the word lies in the kernel of the
-    abelianization map, i.e. its class is killed modulo the derived subgroup.
-    """
-    # d == 1: the coordinate dies in the quotient
-    return tuple(y if d == 0 else y % d for d, y in _smith_coordinates(p, word) if d != 1)
-
-
-def defect_order(p: FinitePresentation, word: Sequence[int]) -> Optional[int]:
-    """Order of the word's class in the abelianization (None = infinite)."""
-    order = 1
-    for d, y in _smith_coordinates(p, word):
-        if d == 0:
-            if y != 0:
-                return None
-        elif y % d:
-            order = math.lcm(order, d // math.gcd(y, d))
-    return order
-
-
-def _smith_coordinates(p: FinitePresentation, word: Sequence[int]) -> List[Tuple[int, int]]:
-    """(d, y) for each Smith coordinate y of the word's exponent vector: d is
-    the invariant factor of a relation coordinate, 0 for a free one."""
-    v = exponent_vector(word, p.rank)
-    if not p.relators:
-        return [(0, x) for x in v]
-    snf = smith_normal_form(p.relator_matrix().transpose())  # columns span the relations
-    y = snf.left.apply(v)
-    return [(snf.diagonal[i] if i < snf.rank else 0, yi) for i, yi in enumerate(y)]
-
-
 # ---------------------------------------------------------------------------
 # surface groups and index-2 covers
 
@@ -292,24 +245,6 @@ class DoubleCover:
     def homology_dim(self) -> int:
         return self.n_schreier - self._relations
 
-    def transfer(self, base_class: Sequence[int]) -> tuple:
-        """Transfer H1(base) -> H1(cover): class of the full preimage cycle."""
-        out = None
-        for i, c in enumerate(base_class):
-            if c == 0:
-                continue
-            word = (i + 1,)
-            if self.character[i] == 0:
-                w = concat(self.rewrite(word, 0), self.rewrite(word, 1))
-            else:
-                w = self.rewrite(word + word, 0)
-            cls = self.class_of(w)
-            term = tuple(c * x for x in cls)
-            out = term if out is None else tuple(a + b for a, b in zip(out, term))
-        if out is None:
-            out = (0,) * self.homology_dim()
-        return out
-
     def deck_matrix(self) -> IntMatrix:
         """Action of the deck involution on H1(cover) in quotient
         coordinates, computed from the Schreier rewriting of t * s * t^-1:
@@ -361,7 +296,10 @@ def _schreier_rewrite(
 def reidemeister_schreier_double_cover(
     s: SurfaceGroup, chi: Sequence[int]
 ) -> DoubleCover:
-    chi = tuple(int(c) % 2 for c in chi)
+    try:
+        chi = tuple(index(c) % 2 for c in chi)
+    except TypeError as ex:
+        raise SchemaError(f"character entry: {ex}") from None
     n = 2 * s.genus
     if len(chi) != n:
         raise DimensionMismatch("character length != 2g")

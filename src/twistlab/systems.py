@@ -1,5 +1,5 @@
-"""Curve systems in minimal position: dual graphs, graph connectivity, and
-the handle-addition builder for geometric presentations.
+"""Curve systems in minimal position, their dual graphs, and the
+handle-addition builder for geometric presentations.
 
 The builder draws every relator as a based loop through a common hub disk.
 Strand ports sit on the hub boundary in the cyclic order induced by the
@@ -13,11 +13,10 @@ is what matters.
 """
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from .errors import BudgetExceeded, DimensionMismatch, EmptyRelators, SchemaError
 from .presentations import (
@@ -89,13 +88,6 @@ class DualGraph:
     vertices: Tuple[str, ...]
     edges: Tuple[Tuple[str, str, int], ...]  # (a, b, multiplicity), a < b
 
-    def multiplicity(self, a: str, b: str) -> int:
-        key = (a, b) if a <= b else (b, a)
-        for x, y, k in self.edges:
-            if (x, y) == key:
-                return k
-        return 0
-
     def is_connected(self) -> bool:
         if not self.vertices:
             return True
@@ -119,61 +111,6 @@ def dual_graph(system: CurveSystem) -> DualGraph:
         (a, b, k) for (a, b), k in sorted(system._table.items()) if k > 0 and a != b
     )
     return DualGraph(tuple(c.name for c in system.curves), edges)
-
-
-def adjacent(system: CurveSystem, r: str, s: str) -> bool:
-    """Adjacency means a single transverse intersection point."""
-    return r != s and system.count(r, s) == 1
-
-
-def graph_connected_to(
-    system: CurveSystem, r_names: Sequence[str], s_names: Sequence[str]
-) -> Tuple[bool, Dict[str, Optional[list]]]:
-    """Is every curve of R joined to S by a path of adjacency edges
-    (multiplicity exactly one) in the combined system?
-
-    Returns the flag plus a witness path per R-curve (None if unreachable).
-    A curve already in S gets the length-0 path [curve].
-    """
-    index = {c.name: i for i, c in enumerate(system.curves)}
-    for n in list(r_names) + list(s_names):
-        if n not in index:
-            raise SchemaError(f"unknown curve {n!r}")
-    # adjacency lists in curve order, the order in which the search visits
-    # neighbours, so the witness paths do not depend on the table's order
-    adj: Dict[str, List[str]] = {name: [] for name in index}
-    for (a, b), k in system._table.items():
-        if k == 1 and a != b:
-            adj[a].append(b)
-            adj[b].append(a)
-    for nbrs in adj.values():
-        nbrs.sort(key=index.__getitem__)
-    target = set(s_names)
-    paths: Dict[str, Optional[list]] = {}
-    for r in r_names:
-        if r in target:
-            paths[r] = [r]
-            continue
-        prev = {r: None}
-        queue = deque([r])
-        found = None
-        while queue and found is None:
-            cur = queue.popleft()
-            for w in adj[cur]:
-                if w not in prev:
-                    prev[w] = cur
-                    if w in target:
-                        found = w
-                        break
-                    queue.append(w)
-        if found is None:
-            paths[r] = None
-        else:
-            path = [found]
-            while prev[path[-1]] is not None:
-                path.append(prev[path[-1]])
-            paths[r] = list(reversed(path))
-    return all(p is not None for p in paths.values()), paths
 
 
 # ---------------------------------------------------------------------------

@@ -1,27 +1,37 @@
 import math
+from collections import deque
+from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import pytest
 
-from twistlab.errors import SchemaError
+from twistlab.errors import InvalidElement, NotARelation, NotPositive, SchemaError
 from twistlab.exact import IntMatrix
 from twistlab.invariants import Factorization
 from twistlab.metaplectic import (
     A_MATRIX,
     B_MATRIX,
+    LINE_P,
     LagrangianLine,
     Mat2,
     MetaElement,
+    maslov_index,
     meta_identity,
     meta_inverse,
     meta_power,
     multiply,
 )
+from twistlab.presentations import (
+    FinitePresentation,
+    SurfaceGroup,
+    free_reduce,
+    quotient_by_normal_closure,
+)
 from twistlab.schema import load_fixture
-from twistlab.surfaces import Curve, symplectic_j, twist_transvection
-from twistlab.systems import _chords, _Crossing
-from twistlab.words import TwistLetter, TwistWord
+from twistlab.surfaces import Curve, intersection_pairing, symplectic_j, twist_transvection
+from twistlab.systems import CurveSystem, _chords, _Crossing
+from twistlab.words import TwistLetter, TwistWord, evaluate_homological, is_positive
 
 CURVE_A = Curve("a", (1, 0), word=(1,))
 CURVE_B = Curve("b", (0, 1), word=(2,))
@@ -160,7 +170,7 @@ def evaluate_homological_oracle(word) -> IntMatrix:
     j = symplectic_j(word.genus)
 
     def inverse(m: IntMatrix) -> IntMatrix:
-        return (-j) * m.transpose() * j
+        return j.transpose() * m.transpose() * j  # J^T = -J = J^-1
 
     acc = IntMatrix.identity(2 * word.genus)
     for letter in word.letters:
@@ -269,6 +279,321 @@ def positive_identity_oracle(max_total_exponent: int, max_conjugator_length: int
         if other is not None and 1 <= d + other <= max_total_exponent:
             return (st, inv)
     return None
+
+
+def pi1_presentation(f: Factorization) -> FinitePresentation:
+    """pi1 of a sphere-base total space: the fiber's surface group modulo the
+    vanishing cycles' words (ValueError when a cycle carries none).  Its
+    abelianization is the independent route to ``h1_total_space``."""
+    if f.base_genus != 0:
+        raise SchemaError("pi1 presentation implemented for base genus 0")
+    words = []
+    for c in f.cycles():
+        if c.word is None:
+            raise ValueError(f"curve {c.name} carries no fundamental-group word")
+        words.append(c.word)
+    return quotient_by_normal_closure(SurfaceGroup(f.fiber_genus).presentation(), words)
+
+
+def transfer(cov, base_class) -> tuple:
+    """Transfer H1(base) -> H1(cover) of a double cover: the class of the
+    full preimage of each generator's loop, weighted by the base class.  The
+    lifts of a loop, as ``lift_loop`` gives them, sum to it."""
+    out = (0,) * cov.homology_dim()
+    for i, c in enumerate(base_class):
+        if c:
+            word = (i + 1,)
+            if cov.character[i] == 0:
+                w = free_reduce(cov.rewrite(word, 0) + cov.rewrite(word, 1))
+            else:
+                w = cov.rewrite(word + word, 0)
+            out = tuple(a + c * x for a, x in zip(out, cov.class_of(w)))
+    return out
+
+
+# ---------------------------------------------------------------------------
+# the positive-inverse lemma: in a curve system joined by adjacency paths to
+# the curves of a positive relation, the inverse of every twist is a
+# positive word of conjugated twists
+
+
+def expand_word(word: TwistWord) -> TwistWord:
+    """Split every letter into |exponent| copies of exponent +-1."""
+    out = []
+    for l in word.letters:
+        sign = 1 if l.exponent > 0 else -1
+        out.extend(replace(l, exponent=sign) for _ in range(abs(l.exponent)))
+    return TwistWord(word.genus, tuple(out))
+
+
+def invert_word(word: TwistWord) -> TwistWord:
+    return TwistWord(word.genus, tuple(l.inverse() for l in reversed(word.letters)))
+
+
+def graph_connected_to(
+    system: CurveSystem, r_names: Sequence[str], s_names: Sequence[str]
+) -> Tuple[bool, Dict[str, Optional[list]]]:
+    """Is every curve of R joined to S by a path of adjacency edges
+    (multiplicity exactly one, a single transverse intersection point)?
+
+    Returns the flag plus a witness path per R-curve (None if unreachable).
+    A curve already in S gets the length-0 path [curve].
+    """
+    index = {c.name: i for i, c in enumerate(system.curves)}
+    for n in list(r_names) + list(s_names):
+        if n not in index:
+            raise SchemaError(f"unknown curve {n!r}")
+    # adjacency lists in curve order, the order in which the search visits
+    # neighbours, so the witness paths do not depend on the table's order
+    adj: Dict[str, List[str]] = {name: [] for name in index}
+    for (a, b), k in system._table.items():
+        if k == 1 and a != b:
+            adj[a].append(b)
+            adj[b].append(a)
+    for nbrs in adj.values():
+        nbrs.sort(key=index.__getitem__)
+    target = set(s_names)
+    paths: Dict[str, Optional[list]] = {}
+    for r in r_names:
+        if r in target:
+            paths[r] = [r]
+            continue
+        prev = {r: None}
+        queue = deque([r])
+        found = None
+        while queue and found is None:
+            cur = queue.popleft()
+            for w in adj[cur]:
+                if w not in prev:
+                    prev[w] = cur
+                    if w in target:
+                        found = w
+                        break
+                    queue.append(w)
+        if found is None:
+            paths[r] = None
+        else:
+            path = [found]
+            while prev[path[-1]] is not None:
+                path.append(prev[path[-1]])
+            paths[r] = list(reversed(path))
+    return all(p is not None for p in paths.values()), paths
+
+
+def invert_from_positive_relation(rel: TwistWord, i: int) -> TwistWord:
+    """Positive word w with t_{l(i)} * w equal to the cyclic rotation of the
+    relation starting at position i (1-based, after expansion).
+
+    If the relation evaluates to the identity homologically, then so does
+    t_{l(i)} * w, i.e. w evaluates to the twist's inverse.
+    """
+    if not is_positive(rel):
+        raise NotPositive("relation must use positive exponents only")
+    flat = expand_word(rel)
+    mu = len(flat.letters)
+    if not 1 <= i <= mu:
+        raise IndexError(f"position {i} out of range 1..{mu}")
+    rotated = flat.letters[i - 1:] + flat.letters[: i - 1]
+    return TwistWord(rel.genus, rotated[1:])
+
+
+def conjugate_adjacent(a: Curve, b: Curve, genus: int) -> TwistWord:
+    """Conjugator phi = t_a t_b with eval(phi) T_a eval(phi)^-1 = T_b,
+    available whenever |<a, b>| = 1 (the homological adjacency proxy)."""
+    if abs(intersection_pairing(a.homology, b.homology)) != 1:
+        raise ValueError(f"|<{a.name},{b.name}>| != 1")
+    return TwistWord(genus, (TwistLetter(a), TwistLetter(b)))
+
+
+def express_inverse_positively(
+    system: CurveSystem,
+    r_names: Sequence[str],
+    s_names: Sequence[str],
+    rel_s: TwistWord,
+    c_name: str,
+) -> TwistWord:
+    """Positive word of conjugated twists evaluating to T_c^-1.
+
+    Walks an adjacency path from c to a curve d of S occurring in the positive
+    relation rel_s, rotates the relation at d, and conjugates the tail back
+    along the path.  LookupError when c is not in R or no path exists.
+    """
+    if not is_positive(rel_s):
+        raise NotPositive("rel_s must be positive")
+    if not evaluate_homological(rel_s).is_identity():
+        raise NotARelation("rel_s does not evaluate to the identity")
+    if c_name not in r_names:
+        raise LookupError(f"{c_name} is not in R")
+
+    flat = expand_word(rel_s)
+    occurring = {l.curve.name for l in flat.letters}
+    targets = [s for s in s_names if s in occurring]
+    if not targets:
+        raise NotARelation("no curve of S occurs in rel_s")
+
+    ok, paths = graph_connected_to(system, [c_name], targets)
+    if not ok:
+        raise LookupError(f"no adjacency path from {c_name} to S")
+    path = paths[c_name]
+    d_name = path[-1]
+
+    # rotate at the first occurrence of t_d
+    pos = next(
+        k + 1 for k, l in enumerate(flat.letters) if l.curve.name == d_name
+    )
+    tail = invert_from_positive_relation(flat, pos)  # evaluates to T_d^-1
+
+    if len(path) == 1:
+        return tail
+
+    curves = {c.name: c for c in system.curves}
+    # psi_j conjugates t_{path[j]} to t_{path[j+1]}; compose so that
+    # eval(Psi) T_c eval(Psi)^-1 = T_d, i.e. Psi = psi_{k-1} ... psi_0
+    steps = [
+        conjugate_adjacent(curves[path[j]], curves[path[j + 1]], rel_s.genus)
+        for j in range(len(path) - 1)
+    ]
+    psi = TwistWord(rel_s.genus)
+    for step in steps:
+        psi = step * psi
+    psi_inv = invert_word(psi)
+
+    out = []
+    for l in tail.letters:
+        inner = l.conjugator if l.conjugator is not None else TwistWord(rel_s.genus)
+        out.append(replace(l, conjugator=psi_inv * inner))
+    return TwistWord(rel_s.genus, tuple(out))
+
+
+# ---------------------------------------------------------------------------
+# the covered Lagrangian Grassmannian, on which conjugates of t_a displace
+# points by at most pi
+
+
+LINE_Q = LagrangianLine((0, 1))
+
+
+def fraction_of_pi(line: LagrangianLine) -> Optional[Fraction]:
+    """theta as an exact multiple of pi when standard, else None."""
+    table = {(1, 0): Fraction(0), (1, 1): Fraction(1, 4),
+             (0, 1): Fraction(1, 2), (-1, 1): Fraction(3, 4)}
+    return table.get(line.vector)
+
+
+def angle_lt(l1: LagrangianLine, l2: LagrangianLine) -> bool:
+    """theta(l1) < theta(l2), exactly."""
+    a, b = l1.vector, l2.vector
+    return a[0] * b[1] - a[1] * b[0] > 0
+
+
+@dataclass(frozen=True)
+class TildeLambdaPoint:
+    """Point (line, k) of the universal cover; k has the parity of
+    1 + dim(line n span(p)) (ValueError otherwise).
+
+    The real coordinate is theta~ = theta(line) - ceil(k/2) pi.  (The naive
+    linear-in-k version theta - k pi/2 agrees on even k and on all the pinned
+    calibration data but identifies the distinct points (p, 0) and (q, 1), so
+    it is not injective; the parity constraint forces the ceiling.)  One unit
+    of the central generator (I, 4) translates theta~ by -2 pi and the deck
+    step k -> k + 2 by -pi."""
+
+    line: LagrangianLine
+    k: int
+
+    def __post_init__(self):
+        if not self.is_valid():
+            raise ValueError(f"parity violation at {self}")
+
+    def is_valid(self) -> bool:
+        dim = 1 if self.line == LINE_P else 0
+        return self.k % 2 == (1 + dim) % 2
+
+    def pi_steps(self) -> int:
+        return (self.k + 1) // 2  # ceil(k / 2)
+
+    def theta_fraction(self) -> Optional[Fraction]:
+        """theta~ as an exact multiple of pi, when the line is at a standard
+        angle."""
+        f = fraction_of_pi(self.line)
+        if f is None:
+            return None
+        return f - self.pi_steps()
+
+
+def act_tilde_lambda(x: MetaElement, pt: TildeLambdaPoint) -> TildeLambdaPoint:
+    """(g, n) . (l, k) = (g l, n + k + tau(l0, g l0, g l))."""
+    if not x.is_valid():
+        raise InvalidElement(str(x))
+    new_line = pt.line.apply(x.matrix)
+    k = x.n + pt.k + maslov_index(LINE_P, LINE_P.apply(x.matrix), new_line)
+    return TildeLambdaPoint(new_line, k)
+
+
+@dataclass(frozen=True)
+class Displacement:
+    """theta~ difference.
+
+    ``pi_fraction`` is an exact multiple of pi whenever both lines sit at
+    standard angles (multiples of pi/4); ``cmp_half_pi`` compares the exact
+    value against any multiple of pi/2 without ever touching floats."""
+
+    line_before: LagrangianLine
+    line_after: LagrangianLine
+    pi_step_diff: int  # ceil(k_after/2) - ceil(k_before/2)
+
+    def pi_fraction(self) -> Optional[Fraction]:
+        f1 = fraction_of_pi(self.line_before)
+        f2 = fraction_of_pi(self.line_after)
+        if f1 is None or f2 is None:
+            return None
+        return f2 - f1 - self.pi_step_diff
+
+    def cmp_half_pi(self, m: int) -> int:
+        """Exact sign of (displacement - m pi/2); never uses floats."""
+        # displacement = dtheta - pi_step_diff * pi with dtheta in (-pi, pi)
+        t = m + 2 * self.pi_step_diff  # compare dtheta against t * pi/2
+        la, lb = self.line_before, self.line_after
+        if lb == la:
+            dtheta_cmp0 = 0
+        elif angle_lt(la, lb):
+            dtheta_cmp0 = 1
+        else:
+            dtheta_cmp0 = -1
+        if t >= 2:
+            return -1
+        if t <= -2:
+            return 1
+        if t == 0:
+            return dtheta_cmp0
+        if t == 1:
+            # dtheta vs pi/2: rotate la by +pi/2 (wraps when theta >= pi/2)
+            if la.vector[0] <= 0:
+                return -1  # theta(la) >= pi/2 so theta(lb) < theta(la) + pi/2
+            rot = LagrangianLine((-la.vector[1], la.vector[0]))
+            if lb == rot:
+                return 0
+            return 1 if angle_lt(rot, lb) else -1
+        # t == -1: dtheta + pi/2 has the sign of theta(lb) + pi/2 - theta(la)
+        if lb.vector[0] <= 0:
+            return 1  # theta(lb) + pi/2 wraps past pi, above any theta(la)
+        rot = LagrangianLine((-lb.vector[1], lb.vector[0]))
+        if la == rot:
+            return 0
+        return 1 if angle_lt(la, rot) else -1
+
+    def in_interval_closed(self, lo_halves: int, hi_halves: int) -> bool:
+        """displacement in [lo pi/2, hi pi/2], exactly."""
+        return self.cmp_half_pi(lo_halves) >= 0 and self.cmp_half_pi(hi_halves) <= 0
+
+
+def displacement(x: MetaElement, pt: TildeLambdaPoint) -> Displacement:
+    after = act_tilde_lambda(x, pt)
+    return Displacement(
+        line_before=pt.line,
+        line_after=after.line,
+        pi_step_diff=after.pi_steps() - pt.pi_steps(),
+    )
 
 
 @pytest.fixture

@@ -15,6 +15,8 @@ from twistlab.exact import (
     solve_f2,
     sparse_rows,
 )
+from twistlab.metaplectic import LagrangianLine, MetaElement
+from twistlab.presentations import SurfaceGroup, free_reduce, reidemeister_schreier_double_cover
 
 
 def diag_matrix(snf, shape):
@@ -28,6 +30,25 @@ def diag_matrix(snf, shape):
 def test_int_matrix_rejects_non_integer_entries(entry):
     with pytest.raises(SchemaError, match="matrix entry"):
         IntMatrix([[1, entry], [0, 1]])
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: MetaElement(((1.9, 0), (0, 1)), 0),
+        lambda: MetaElement(((1, 0), (0, 1)), 4.0),
+        lambda: LagrangianLine((1.5, 0)),
+        lambda: free_reduce((1.7,)),
+        lambda: F2Matrix([[1.5, 3]]),
+        lambda: solve_f2(F2Matrix([[1]]), (1.5,)),
+        lambda: reidemeister_schreier_double_cover(SurfaceGroup(1), (1.5, 0)),
+    ],
+    ids=["meta-matrix", "meta-n", "line", "free-reduce", "f2-matrix", "f2-rhs", "character"],
+)
+def test_other_integer_inputs_reject_non_integers(build):
+    # each entry was once coerced with int(), so 1.9 and 1.5 read as 1
+    with pytest.raises(SchemaError):
+        build()
 
 
 class TestSmithNormalForm:

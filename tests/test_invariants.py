@@ -1,31 +1,17 @@
-from fractions import Fraction
-
 import pytest
 
-from conftest import CURVE_A, CURVE_B, e1_factorization, e1_word
-from twistlab.errors import (
-    GenusMismatch,
-    LambdaUnknown,
-    MissingCommutatorData,
-    MissingWords,
-    NotPositive,
-    SchemaError,
-    SignatureUnknown,
-)
+from conftest import CURVE_A, CURVE_B, e1_factorization, e1_word, pi1_presentation
+from twistlab.errors import GenusMismatch, MissingCommutatorData, NotPositive, SchemaError
 from twistlab.exact import IntMatrix
 from twistlab.invariants import (
     Factorization,
     euler_characteristic,
     fiber_sum,
     h1_total_space,
-    hodge_pairing,
     invariant_report,
-    liu_bound_report,
     mu,
-    pi1_presentation,
     signature,
     torelli_certificate,
-    verify_higher_base,
 )
 from twistlab.presentations import AbelianInvariants, abelianize
 from twistlab.surfaces import Curve, twist_transvection
@@ -102,7 +88,7 @@ class TestPi1:
         assert abelianize(p) == AbelianInvariants(4, ())
 
     def test_missing_words(self, fixture_genus3):
-        with pytest.raises(MissingWords):
+        with pytest.raises(ValueError, match="no fundamental-group word"):
             pi1_presentation(fixture_genus3)
 
 
@@ -152,18 +138,18 @@ class TestSignature:
 
 class TestHodge:
     def test_e1(self):
-        assert hodge_pairing(e1_factorization()) == 1
+        assert invariant_report(e1_factorization()).lam == 1
 
     def test_separating_only(self):
-        assert hodge_pairing(separating_factorization()) == 0
+        assert invariant_report(separating_factorization()).lam == 0
 
     def test_unknown_signature(self, fixture_genus2):
-        with pytest.raises(SignatureUnknown):
-            hodge_pairing(fixture_genus2)
+        rep = invariant_report(fixture_genus2)
+        assert rep.lam is None and rep.liu_status == "lambda unknown"
 
     def test_fiber_sum_additivity(self):
         f = fiber_sum(e1_factorization(), e1_factorization())
-        assert hodge_pairing(f) == 2
+        assert invariant_report(f).lam == 2
 
 
 class TestTorelli:
@@ -184,20 +170,20 @@ class TestTorelli:
 
 class TestLiu:
     def test_e1(self):
-        rep = liu_bound_report(e1_factorization())
-        assert rep.lam == 1 and rep.bound == Fraction(-1, 6) and rep.passes
+        rep = invariant_report(e1_factorization())
+        assert rep.lam == 1 and rep.liu_status == "1 > -1/6: pass"
 
     def test_genus3_with_external_signature(self, fixture_genus3):
-        rep = liu_bound_report(fixture_genus3, external_signature=-8)
-        assert rep.lam == 2 and rep.bound == Fraction(7, 6) and rep.passes
+        rep = invariant_report(fixture_genus3, external_signature=-8)
+        assert rep.lam == 2 and rep.liu_status == "2 > 7/6: pass"
 
     def test_separating_genus2_fails(self):
-        rep = liu_bound_report(separating_factorization(genus=2))
-        assert rep.lam == 0 and rep.bound == Fraction(1, 2) and not rep.passes
+        rep = invariant_report(separating_factorization(genus=2))
+        assert rep.lam == 0 and rep.liu_status == "0 > 1/2: FAIL"
 
     def test_unknown(self, fixture_genus2):
-        with pytest.raises(LambdaUnknown):
-            liu_bound_report(fixture_genus2)
+        rep = invariant_report(fixture_genus2)
+        assert rep.lam is None and rep.liu_status == "lambda unknown"
 
 
 class TestFiberSum:
@@ -230,8 +216,8 @@ class TestFiberSum:
 class TestHigherBase:
     def test_smooth_fibration(self):
         f = Factorization(2, 1, TwistWord(2), (Curve("x", (1, 0, 0, 0)),))
-        rep = verify_higher_base(f)
-        assert rep.identity_holds
+        ok, _ = f.verify_homological()
+        assert ok
 
     def test_commutator_identity(self):
         # (t_a t_b)^6 = I equals the empty-commutator and the [X, X] products
@@ -239,24 +225,22 @@ class TestHigherBase:
         f = Factorization(
             1, 1, e1_word(), (CURVE_A, CURVE_B), commutator_part=((x, x),)
         )
-        rep = verify_higher_base(f)
-        assert rep.identity_holds
-        assert rep.kernel_abelianization is not None
-        assert rep.kernel_abelianization.is_trivial()
+        ok, residual = f.verify_homological()
+        assert ok and residual.is_identity()
 
     def test_violation_reports_residual(self):
         x = twist_transvection((1, 1))
         w = TwistWord(1, (TwistLetter(CURVE_A),))
         f = Factorization(1, 1, w, (CURVE_A,), commutator_part=((x, x),))
-        rep = verify_higher_base(f)
-        assert not rep.identity_holds
-        assert not rep.residual.is_identity()
+        ok, residual = f.verify_homological()
+        assert not ok
+        assert not residual.is_identity()
 
     def test_missing_data(self):
         w = TwistWord(1, (TwistLetter(CURVE_A),))
         f = Factorization(1, 1, w, (CURVE_A,))
         with pytest.raises(MissingCommutatorData):
-            verify_higher_base(f)
+            f.verify_homological()
 
 
 class TestReportConsistency:

@@ -10,28 +10,28 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import (
     CURVE_A,
+    LINE_Q,
+    TildeLambdaPoint,
     _maslov_signature,
+    act_tilde_lambda,
     conjugates_of_t_a,
+    displacement,
     e1_word,
     meta_twist,
     meta_word_oracle,
     positive_identity_oracle,
 )
-from twistlab.errors import InvalidElement, InvalidPoint, NotCentral, SchemaError
+from twistlab.errors import InvalidElement, NotCentral, SchemaError
 from twistlab.metaplectic import (
     A_MATRIX,
     B_MATRIX,
     IDENTITY,
     J_MATRIX,
     LINE_P,
-    LINE_Q,
     LagrangianLine,
     MetaElement,
-    TildeLambdaPoint,
-    act_tilde_lambda,
     boundary_multiplicity,
     cocycle,
-    displacement,
     evaluate_meta_word,
     lift_generators,
     maslov_index,
@@ -377,9 +377,9 @@ class TestTildeLambda:
     def test_parity_validation(self):
         TildeLambdaPoint(LINE_P, 0)
         TildeLambdaPoint(LINE_Q, 1)
-        with pytest.raises(InvalidPoint):
+        with pytest.raises(ValueError):
             TildeLambdaPoint(LINE_P, 1)
-        with pytest.raises(InvalidPoint):
+        with pytest.raises(ValueError):
             TildeLambdaPoint(LINE_Q, 0)
 
     def test_fixed_points(self):

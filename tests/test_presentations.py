@@ -4,6 +4,7 @@ import time
 
 import pytest
 
+from conftest import transfer
 from twistlab.errors import BudgetExceeded, SchemaError, ZeroCharacter
 from twistlab.exact import IntMatrix, rank_over_rationals
 from twistlab.presentations import (
@@ -12,10 +13,7 @@ from twistlab.presentations import (
     FinitePresentation,
     SurfaceGroup,
     abelianize,
-    canonical_rotation,
-    commutator_defect,
     cyclic_reduce,
-    defect_order,
     free_reduce,
     inverse_word,
     lift_loop,
@@ -35,7 +33,6 @@ with open(os.path.join(os.path.dirname(__file__), "golden", "deck_matrix.json"))
 def test_free_and_cyclic_reduction():
     assert free_reduce((1, -1, 2)) == (2,)
     assert cyclic_reduce((1, 2, -1)) == (2,)
-    assert canonical_rotation((2, 1)) == (1, 2)
 
 
 class TestParseWord:
@@ -115,23 +112,6 @@ class TestQuotient:
         assert route1 == route2
 
 
-class TestCommutatorDefect:
-    def test_commutator_in_free_group(self):
-        free = FinitePresentation(("x", "y"), ())
-        assert all(v == 0 for v in commutator_defect(free, (1, 2, -1, -2)))
-
-    def test_tenth_powers_vanish(self, fixture_wajnryb):
-        word = []
-        for i in range(1, 6):
-            word += [i] * 10
-        assert all(v == 0 for v in commutator_defect(fixture_wajnryb, tuple(word)))
-
-    def test_single_twist_has_order_ten(self, fixture_wajnryb):
-        d = commutator_defect(fixture_wajnryb, (1,))
-        assert any(v != 0 for v in d)
-        assert defect_order(fixture_wajnryb, (1,)) == 10
-
-
 class TestDoubleCover:
     def test_torus_cover_is_torus(self):
         cov = reidemeister_schreier_double_cover(SurfaceGroup(1), (1, 0))
@@ -190,7 +170,7 @@ class TestLiftLoop:
         assert res.chi_value == 0 and len(res.classes) == 2
         u, v = res.classes
         total = tuple(a + b for a, b in zip(u, v))
-        assert total == self.cov.transfer((1, 0, 0, 0))
+        assert total == transfer(self.cov, (1, 0, 0, 0))
         d = self.cov.deck_matrix()
         assert d.apply(total) == total
         # the deck involution exchanges the two lifts
@@ -201,7 +181,7 @@ class TestLiftLoop:
         assert res.chi_value == 1 and len(res.classes) == 1
         w = res.classes[0]
         assert self.cov.deck_matrix().apply(w) == w
-        assert w == self.cov.transfer((1, -1, 0, 0))
+        assert w == transfer(self.cov, (1, -1, 0, 0))
 
     def test_word_choice_moves_only_the_antiinvariant_part(self):
         # two words with the same class: lift-class sum is word independent

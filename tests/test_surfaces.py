@@ -102,7 +102,7 @@ class TestTransvection:
                 m = m * twist_transvection(c)
             c = tuple(rng.randint(-2, 2) for _ in range(2 * g))
             j = symplectic_j(g)
-            m_inv = (-j) * m.transpose() * j
+            m_inv = j.transpose() * m.transpose() * j
             assert m * twist_transvection(c) * m_inv == twist_transvection(m.apply(c))
 
     def test_braid_relation_for_adjacent_classes(self):
@@ -141,7 +141,7 @@ class TestSymplecticInverse:
                 m = m * twist_transvection(c)
             j = symplectic_j(g)
             inv = symplectic_inverse(m)
-            assert inv == (-j) * m.transpose() * j
+            assert inv == j.transpose() * m.transpose() * j  # J^-1 = J^T = -J
             assert (m * inv).is_identity() and (inv * m).is_identity()
 
 

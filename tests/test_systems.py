@@ -5,7 +5,7 @@ from operator import itemgetter
 
 import pytest
 
-from conftest import hub_crossings_oracle
+from conftest import graph_connected_to, hub_crossings_oracle
 from twistlab.errors import DimensionMismatch, EmptyRelators, SchemaError
 from twistlab.exact import smith_diagonal, smith_normal_form
 from twistlab.presentations import SurfaceGroup, abelianize, cyclic_reduce
@@ -13,10 +13,8 @@ from twistlab.surfaces import Curve, SurfaceData
 from twistlab.systems import (
     CurveSystem,
     _hub_crossings,
-    adjacent,
     build_geometric_presentation,
     dual_graph,
-    graph_connected_to,
     verify_geometric_presentation,
 )
 
@@ -39,25 +37,28 @@ class TestDualGraph:
     def test_single_edge(self):
         s = simple_system([("r1", "r2", 1)])
         g = dual_graph(s)
-        assert g.multiplicity("r1", "r2") == 1
+        assert g.edges == (("r1", "r2", 1),)
+        assert s.count("r1", "r2") == 1
         assert g.is_connected()
 
     def test_chain(self):
         s = simple_system([("r1", "r2", 1), ("r2", "r3", 1), ("r1", "r3", 0)])
         g = dual_graph(s)
-        assert g.multiplicity("r1", "r2") == 1
-        assert g.multiplicity("r2", "r3") == 1
-        assert g.multiplicity("r1", "r3") == 0
+        assert s.count("r1", "r2") == 1
+        assert s.count("r2", "r3") == 1
+        assert s.count("r1", "r3") == 0
+        assert g.edges == (("r1", "r2", 1), ("r2", "r3", 1))
         assert g.is_connected()
 
 
 class TestAdjacent:
     def test_counts(self):
+        # adjacency, the edges of the path search, is one intersection point
         s = simple_system([("r1", "r2", 1), ("r1", "r3", 2), ("r2", "r3", 0)])
-        assert adjacent(s, "r1", "r2")
-        assert not adjacent(s, "r2", "r3")
+        assert graph_connected_to(s, ["r1"], ["r2"]) == (True, {"r1": ["r1", "r2"]})
+        assert not graph_connected_to(s, ["r2"], ["r3"])[0]
         # two intersection points are not adjacency
-        assert not adjacent(s, "r1", "r3")
+        assert not graph_connected_to(s, ["r1"], ["r3"])[0]
 
 
 class TestGraphConnectedTo:
