@@ -9,7 +9,6 @@ from .exact import (
     smith_diagonal,
     smith_normal_form,
     solve_f2,
-    sparse_rows,
 )
 from .invariants import (
     Factorization,
@@ -44,7 +43,14 @@ from .presentations import (
     quotient_by_normal_closure,
     reidemeister_schreier_double_cover,
 )
-from .surfaces import Curve, SurfaceData, intersection_pairing, is_symplectic, twist_transvection
+from .surfaces import (
+    Curve,
+    HomologyClass,
+    SurfaceData,
+    intersection_pairing,
+    is_symplectic,
+    twist_transvection,
+)
 from .systems import (
     CurveSystem,
     DualGraph,
@@ -52,6 +58,6 @@ from .systems import (
     dual_graph,
     verify_geometric_presentation,
 )
-from .words import TwistLetter, TwistWord, evaluate_homological, is_positive
+from .words import HomologicalValue, TwistLetter, TwistWord, evaluate_homological, is_positive
 
 __version__ = "0.1.0"

@@ -32,6 +32,7 @@ from .schema import (
     load_json,
     presentation_from_dict,
 )
+from .surfaces import HomologyClass
 from .systems import build_geometric_presentation, verify_geometric_presentation
 from .words import is_positive
 
@@ -40,44 +41,107 @@ E_OK, E_INPUT, E_VERIFY, E_CONTRADICTION = 0, 1, 2, 3
 
 # the scalars' encoder: json.dumps(v, default=str) without a new encoder per call
 _SCALAR = json.JSONEncoder(default=str).encode
+# what that encoder calls for a str
+_STR = json.encoder.encode_basestring_ascii
+# what the writer does not print as a scalar
+_NESTED = (dict, list, tuple, HomologyClass)
+
+
+def _scalar(v) -> str:
+    if type(v) is str:
+        return _STR(v)
+    if type(v) is int:  # bools are not ints here
+        return repr(v)
+    if type(v) is bool:
+        return "true" if v else "false"
+    return _SCALAR(v)
+
+
+def _class_text(h: HomologyClass, indent: str) -> str:
+    """json.dumps(list(h), indent=1) for a list whose first line starts at
+    `indent`, from the support: each run of zeros is one repeated string."""
+    if not h.dim:
+        return "[]"
+    inner = indent + " "
+    sep = "," + inner
+    zero = "0" + sep
+    parts = ["[", inner]
+    at = 0
+    for j, x in h.support:
+        parts += (zero * (j - at), repr(x), sep)
+        at = j + 1
+    if at == h.dim:
+        parts[-1] = indent + "]"
+    else:
+        parts.append(zero * (h.dim - at - 1) + "0" + indent + "]")
+    return "".join(parts)
+
+
+def _key(k) -> str:
+    """A dict key's text and colon; a key that is not a str is written as
+    the string of its JSON text."""
+    return _STR(k if isinstance(k, str) else _SCALAR(k)) + ": "
+
+
+def _flat_text(v, indent: str):
+    """The text of v as one piece when it is flat: a scalar, a
+    HomologyClass, an empty container, a list of scalars, or a dict of flat
+    values, as a curve is.  None for what holds a list of containers at
+    any depth."""
+    if isinstance(v, HomologyClass):
+        return _class_text(v, indent)
+    if not isinstance(v, (dict, list, tuple)):
+        return _scalar(v)
+    if not v:
+        return "{}" if isinstance(v, dict) else "[]"
+    inner = indent + " "
+    if isinstance(v, dict):
+        parts = []
+        for k, x in v.items():
+            text = _flat_text(x, inner)
+            if text is None:
+                return None
+            parts.append(inner + _key(k) + text)
+        return "{" + ",".join(parts) + indent + "}"
+    types = set(map(type, v))
+    if types == {int}:
+        text = map(repr, v)
+    elif any(issubclass(t, _NESTED) for t in types):
+        return None
+    else:
+        text = map(_scalar, v)
+    return "[" + inner + ("," + inner).join(text) + indent + "]"
 
 
 def _json_pieces(v, indent: str):
     """The text of json.dumps(v, indent=1, default=str) in pieces, for a
-    value whose first line starts at `indent` (a newline and its spaces).
+    value whose first line starts at `indent` (a newline and its spaces),
+    with a HomologyClass written as its dense list.
 
-    A list of plain ints, such as a dense homology class, is one piece
-    joined at C speed; the stdlib's indenting encoder runs in Python per
-    entry.  No piece holds more than one such list.
+    Each flat value (``_flat_text``), such as a curve with its dense class,
+    its word's tokens or an intersection triple, is one piece joined at C
+    speed; the stdlib's indenting encoder runs in Python per entry.
     """
+    text = _flat_text(v, indent)
+    if text is not None:
+        yield text
+        return
+    inner = indent + " "
     if isinstance(v, dict):
-        if not v:
-            yield "{}"
-            return
-        inner = indent + " "
-        sep = "{"
-        for k, x in v.items():
-            # a key that is not a str is written as the string of its JSON text
-            yield sep + inner + _SCALAR(k if isinstance(k, str) else _SCALAR(k)) + ": "
-            yield from _json_pieces(x, inner)
-            sep = ","
-        yield indent + "}"
-    elif isinstance(v, (list, tuple)):
-        if not v:
-            yield "[]"
-            return
-        inner = indent + " "
-        if set(map(type, v)) == {int}:  # bools are not ints here
-            yield "[" + inner + ("," + inner).join(map(repr, v)) + indent + "]"
-            return
-        sep = "["
-        for x in v:
-            yield sep + inner
-            yield from _json_pieces(x, inner)
-            sep = ","
-        yield indent + "]"
+        items = ((_key(k), x) for k, x in v.items())
+        sep, close = "{", indent + "}"
     else:
-        yield _SCALAR(v)
+        items = (("", x) for x in v)
+        sep, close = "[", indent + "]"
+    for head, x in items:
+        text = _flat_text(x, inner)
+        if text is None:
+            yield sep + inner + head
+            yield from _json_pieces(x, inner)
+        else:
+            yield sep + inner + head + text
+        sep = ","
+    yield close
 
 
 def _emit(payload: dict, as_json: bool):

@@ -10,8 +10,7 @@ from __future__ import annotations
 import heapq
 import operator
 from dataclasses import dataclass
-from itertools import compress
-from typing import Dict, List, Mapping, Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 from .errors import DimensionMismatch, SchemaError
 
@@ -82,14 +81,10 @@ class IntMatrix:
         return tuple(sum(a * x for a, x in zip(row, vector)) for row in self.entries)
 
     def is_identity(self) -> bool:
-        return self.rows == self.cols and self == IntMatrix.identity(self.rows)
-
-    def det(self) -> int:
-        """Determinant by fraction-free (Bareiss) elimination."""
-        if self.rows != self.cols:
-            raise DimensionMismatch("square matrix required")
-        rank, sign, pivot = _bareiss(self)
-        return sign * pivot if rank == self.rows else 0
+        n = self.cols
+        return self.rows == n and all(
+            r[i] == 1 and r.count(0) == n - 1 for i, r in enumerate(self.entries)
+        )
 
 
 def _bareiss(a: IntMatrix) -> tuple:
@@ -224,11 +219,6 @@ def smith_normal_form(a: IntMatrix) -> SmithForm:
     return SmithForm(diagonal=diagonal, rank=len(diagonal), left=IntMatrix(u), right=IntMatrix(v))
 
 
-def sparse_rows(entries: Sequence[Sequence[int]]) -> List[Dict[int, int]]:
-    """Each row as {column: entry} of its nonzero entries."""
-    return [dict(zip(compress(range(len(r)), r), filter(None, r))) for r in entries]
-
-
 def smith_diagonal(rows: Sequence[Mapping[int, int]]) -> tuple:
     """The nonzero Smith diagonal of the integer matrix given by its sparse
     rows ({column: entry}), equal to smith_normal_form(a).diagonal of the
@@ -240,18 +230,42 @@ def smith_diagonal(rows: Sequence[Mapping[int, int]]) -> tuple:
     clears its column by row operations; the column operations that would
     clear its row change only the pivot row, so the row and column are dropped
     and a 1 is counted.  The dense remainder goes to smith_normal_form.
+
+    A row that is a single unit entry has cost 0, and its row operations only
+    delete its column from the other rows.  Such rows go first, in one pass
+    that costs O(entries), with each row they leave a single unit; a curve
+    system's handle curves are such rows.  The Smith diagonal is unique, so
+    the order of the pivots does not change it.  After that pass each row's
+    unit columns are kept apart, so a row's cheapest unit costs O(units in
+    the row) to find again, not O(row length).
     """
     rows = {i: {j: x for j, x in r.items() if x} for i, r in enumerate(rows)}
     rows_of = {}  # column -> rows holding an entry in it
     for i, r in rows.items():
         for j in r:
             rows_of.setdefault(j, set()).add(i)
+    units = 0
+    single = [i for i, r in rows.items() if len(r) == 1]
+    while single:
+        p = single.pop()
+        if p not in rows or len(rows[p]) != 1:  # taken, or emptied since
+            continue
+        (q, x), = rows[p].items()
+        if x != 1 and x != -1:
+            continue
+        del rows[p]
+        units += 1
+        for i in rows_of.pop(q) - {p}:
+            r = rows[i]
+            del r[q]
+            if len(r) == 1:
+                single.append(i)
+    units_of = {i: {j for j, x in r.items() if x == 1 or x == -1} for i, r in rows.items()}
 
     def best(i):
         """(cost, column) of the cheapest unit entry of row i, or None."""
         n = len(rows[i]) - 1
-        costs = [(n * (len(rows_of[j]) - 1), j) for j, x in rows[i].items() if x in (1, -1)]
-        return min(costs) if costs else None
+        return min(((n * (len(rows_of[j]) - 1), j) for j in units_of[i]), default=None)
 
     # a row's current best entry is in the heap whenever the row or one of
     # its columns changes; items that no longer match are skipped
@@ -264,17 +278,18 @@ def smith_diagonal(rows: Sequence[Mapping[int, int]]) -> tuple:
                 heapq.heappush(heap, (b[0], i, b[1]))
 
     push(rows)
-    units = 0
     while heap:
         c, p, q = heapq.heappop(heap)
         if p not in rows or best(p) != (c, q):
             continue
         top = rows.pop(p)
+        del units_of[p]
         s = top.pop(q)
         changed_rows, changed_cols = rows_of.pop(q) - {p}, set(top)
         for i in changed_rows:
-            r = rows[i]
+            r, unit_cols = rows[i], units_of[i]
             f = r.pop(q) * s  # s is its own inverse
+            unit_cols.discard(q)
             for j, x in top.items():
                 y = r.get(j, 0) - f * x
                 if y:
@@ -282,8 +297,13 @@ def smith_diagonal(rows: Sequence[Mapping[int, int]]) -> tuple:
                         rows_of[j].add(i)
                         changed_cols.add(j)
                     r[j] = y
+                    if y == 1 or y == -1:
+                        unit_cols.add(j)
+                    else:
+                        unit_cols.discard(j)
                 elif j in r:
                     del r[j]
+                    unit_cols.discard(j)
                     rows_of[j].discard(i)
                     changed_cols.add(j)
         for j in top:

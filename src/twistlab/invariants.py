@@ -11,14 +11,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple, Union
 
 from .errors import GenusMismatch, MissingCommutatorData, NotCentral, NotPositive, SchemaError
-from .exact import IntMatrix, smith_diagonal, sparse_rows
+from .exact import IntMatrix, smith_diagonal
 from .metaplectic import MetaElement, boundary_multiplicity, szpiro_report
 from .presentations import AbelianInvariants
 from .surfaces import Curve, is_symplectic, symplectic_inverse
-from .words import TwistWord, evaluate_homological, is_positive
+from .words import HomologicalValue, TwistWord, evaluate_homological, is_positive
 
 RELATION_CAVEAT = (
     "relation verified homologically; mapping-class-group identity assumed as input"
@@ -59,9 +59,10 @@ class Factorization:
         """Homology classes of the vanishing cycles, in first-use order."""
         return [tuple(c.homology) for c in self.cycles()]
 
-    def verify_homological(self) -> Tuple[bool, IntMatrix]:
-        """Base genus 0: the word must evaluate to the identity.  Higher
-        base: it must equal the product of the supplied commutators."""
+    def verify_homological(self) -> Tuple[bool, Union[HomologicalValue, IntMatrix]]:
+        """(passes, residual).  Base genus 0: the word must evaluate to the
+        identity, and the residual is the word's value.  Higher base: it must
+        equal the product of the supplied commutators."""
         m = evaluate_homological(self.word)
         if self.base_genus == 0:
             return m.is_identity(), m
@@ -72,7 +73,7 @@ class Factorization:
             raise MissingCommutatorData("base genus > 0 needs commutator data")
         for x, y in self.commutator_part:
             target = target * (x * y * symplectic_inverse(x) * symplectic_inverse(y))
-        residual = m * symplectic_inverse(target)
+        residual = m.matrix() * symplectic_inverse(target)
         return residual.is_identity(), residual
 
 
@@ -95,11 +96,11 @@ def h1_total_space(f: Factorization) -> AbelianInvariants:
     classes (Smith normal form)."""
     if f.base_genus != 0:
         raise SchemaError("h1 computed for base genus 0")
-    classes = f.cycle_classes()
+    cycles = f.cycles()
     g2 = 2 * f.fiber_genus
-    if not classes:
+    if not cycles:
         return AbelianInvariants(free_rank=g2, torsion=())
-    diagonal = smith_diagonal(sparse_rows(classes))
+    diagonal = smith_diagonal([dict(c.homology.support) for c in cycles])
     torsion = tuple(d for d in diagonal if d > 1)
     return AbelianInvariants(free_rank=g2 - len(diagonal), torsion=torsion)
 
@@ -111,20 +112,25 @@ def _boundary_case(f: Factorization) -> bool:
     return f.fiber_genus == 1 and bool(cycles) and not any(c.separating for c in cycles)
 
 
-def signature(f: Factorization, external: Optional[int] = None) -> Tuple[Optional[int], str]:
+def signature(
+    f: Factorization,
+    external: Optional[int] = None,
+    homological: Optional[HomologicalValue] = None,
+) -> Tuple[Optional[int], str]:
     """(value, provenance), provenance one of computed/external/unknown.
 
     Computed cases: all vanishing cycles null-homologous (sign = -mu; 0 for
     the smooth product fibration), or fiber genus one with non-separating
     cycles (sign = 4n - mu via the metaplectic boundary multiplicity n, which
-    one evaluation of the word gives)."""
+    one evaluation of the word gives).  `homological` is the word's value on
+    H1 when the caller has it already."""
     if not is_positive(f.word):
         raise NotPositive("signature formulas assume a positive factorization")
     m = f.word.total_exponent()
     if all(c.separating for c in f.cycles()):
         return -m, "computed"
     if _boundary_case(f):
-        res = boundary_multiplicity(f.word)
+        res = boundary_multiplicity(f.word, homological)
         if isinstance(res, MetaElement):
             raise NotCentral(res)
         return 4 * res - m, "computed"
@@ -268,7 +274,9 @@ class InvariantReport:
 def invariant_report(
     f: Factorization, external_signature: Optional[int] = None
 ) -> InvariantReport:
-    ok, _ = f.verify_homological()
+    # over the sphere the residual is the word's value, which the genus-1
+    # lift below reads too
+    ok, value = f.verify_homological()
     m = mu(f)
     euler = euler_characteristic(f)
     b1 = h1_total_space(f).free_rank if f.base_genus == 0 else None
@@ -278,7 +286,7 @@ def invariant_report(
     # the only metaplectic evaluation of the report: in the boundary case
     # sign = 4n - mu, so lambda = n and the Szpiro data follow from it
     try:
-        sign, prov = signature(f, external_signature)
+        sign, prov = signature(f, external_signature, value)
     except NotCentral:
         # only a word that fails the relation evaluates off the centre
         sign, prov = _not_computed(external_signature)

@@ -27,7 +27,7 @@ from typing import List, Optional, Tuple, Union
 from .errors import BudgetExceeded, InvalidElement, NotCentral, NotPositive, SchemaError
 from .presentations import MAX_WORD_LETTERS
 from .surfaces import Curve
-from .words import TwistLetter, TwistWord, evaluate_homological, is_positive
+from .words import HomologicalValue, TwistLetter, TwistWord, evaluate_homological, is_positive
 
 Mat2 = Tuple[Tuple[int, int], Tuple[int, int]]
 
@@ -199,7 +199,7 @@ def lift_generators(k: int = 0) -> Tuple[MetaElement, MetaElement, MetaElement]:
     return a_t, b_t, j_t
 
 
-def evaluate_meta_word(word) -> MetaElement:
+def evaluate_meta_word(word, homological: Optional[HomologicalValue] = None) -> MetaElement:
     """Value of a genus-1 twist word in ~SL(2,Z).  The twist about a primitive
     class (p, q) lifts to the conjugate of A~_0 = (A, 0) by any lift of a
     matrix taking (1, 0) to (p, q): t_a to A~_0, t_b to B~_0 = (B, 1).
@@ -208,11 +208,13 @@ def evaluate_meta_word(word) -> MetaElement:
     homomorphism h (see ``search_positive_identity``) is 1 on it, a letter
     t^e conjugated by any word has h = e, and the word's h is the sum of its
     top-level exponents.  That h and the homological product fix the value
-    (``_lift``)."""
+    (``_lift``); `homological` is that product when the caller has it."""
     if word.genus != 1:
         raise SchemaError("metaplectic evaluation needs a genus-1 word")
     _check_primitive(word)
-    m = evaluate_homological(word).entries
+    if homological is None:
+        homological = evaluate_homological(word)
+    m = homological.entries
     return _lift(m, sum(l.exponent for l in word.letters))
 
 
@@ -220,7 +222,7 @@ def _check_primitive(word) -> None:
     """Every letter's class, conjugators included, must be primitive: only
     then is its twist a conjugate of t_a."""
     for letter in word.letters:
-        if math.gcd(*letter.curve.homology) != 1:
+        if math.gcd(*(x for _, x in letter.curve.homology.support)) != 1:
             raise SchemaError("genus-1 twist class must be primitive")
         if letter.conjugator is not None:
             _check_primitive(letter.conjugator)
@@ -262,12 +264,15 @@ def central_multiplicity(value: MetaElement) -> Optional[int]:
     return None
 
 
-def boundary_multiplicity(word) -> Union[int, MetaElement]:
+def boundary_multiplicity(
+    word, homological: Optional[HomologicalValue] = None
+) -> Union[int, MetaElement]:
     """n when the word evaluates to the central element (I, 4n); otherwise
-    the residual element (a normal outcome, not a fault)."""
+    the residual element (a normal outcome, not a fault).  `homological` is
+    the word's homological product when the caller has it."""
     if not is_positive(word):
         raise NotPositive("boundary multiplicity requires a positive word")
-    val = evaluate_meta_word(word)
+    val = evaluate_meta_word(word, homological)
     n = central_multiplicity(val)
     return val if n is None else n
 

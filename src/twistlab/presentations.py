@@ -132,9 +132,6 @@ class AbelianInvariants:
         if any(t < 2 for t in self.torsion):
             raise SchemaError("torsion entries must be >= 2")
 
-    def is_trivial(self) -> bool:
-        return self.free_rank == 0 and not self.torsion
-
     def __str__(self):
         parts = [f"Z^{self.free_rank}"] if self.free_rank else []
         parts += [f"Z/{d}" for d in self.torsion]

@@ -72,7 +72,7 @@ def factorization_to_dict(f: Factorization) -> dict:
     return {
         "fiber_genus": f.fiber_genus,
         "base_genus": f.base_genus,
-        "curves": [_curve_to_dict(c, gens) for c in f.curves],
+        "curves": [_curve_to_dict(c, gens, list(c.homology)) for c in f.curves],
         "word": [_letter_to_dict(l) for l in f.word.letters],
         **(
             {
@@ -213,13 +213,14 @@ def geompres_from_dict(data: dict) -> Tuple[SurfaceGroup, List[Word], bool]:
 
 
 def curve_system_to_dict(s: CurveSystem) -> dict:
-    """The system for the JSON writer.  Each homology entry is the curve's
-    own class tuple, which JSON writes as a list: a built system's classes
-    are dense, megabytes in all, and a list copy would double them."""
+    """The system for the CLI's JSON writer.  Each homology entry is the
+    curve's own HomologyClass, which the writer prints as its dense list: a
+    built system's dense classes run to megabytes of text, but their
+    supports are short."""
     gens = _surface_generators(s.surface.genus)
     return {
         "genus": s.surface.genus,
-        "curves": [_curve_to_dict(c, gens, tuple) for c in s.curves],
+        "curves": [_curve_to_dict(c, gens, c.homology) for c in s.curves],
         "intersections": [[a, b, k] for a, b, k in s.intersections],
     }
 
@@ -266,8 +267,8 @@ def _curve_from_dict(cd, genus: int, gens: List[str]) -> Curve:
     return Curve(name, tuple(hom), separating, None if word is None else parse_word(word, gens))
 
 
-def _curve_to_dict(c: Curve, gens: List[str], homology=list) -> dict:
-    d = {"name": c.name, "homology": homology(c.homology), "separating": c.separating}
+def _curve_to_dict(c: Curve, gens: List[str], homology) -> dict:
+    d = {"name": c.name, "homology": homology, "separating": c.separating}
     if c.word is not None:
         d["word"] = format_word(c.word, gens)
     return d

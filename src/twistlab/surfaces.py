@@ -8,12 +8,14 @@ have matrices [[1,1],[0,1]] and [[1,0],[-1,1]].
 from __future__ import annotations
 
 import operator
+from collections import Counter
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from itertools import compress
+from typing import Dict, Iterable, Optional, Sequence, Tuple
 
 from .errors import DimensionMismatch, SchemaError
 from .exact import IntMatrix
-from .presentations import exponent_vector, free_reduce
+from .presentations import free_reduce
 
 
 @dataclass(frozen=True)
@@ -25,33 +27,109 @@ class SurfaceData:
             raise SchemaError("negative genus")
 
 
+class HomologyClass:
+    """An integer class of length `dim`, stored as its support: the
+    (index, coefficient) pairs of its nonzero entries in index order.  Two
+    classes are equal when their supports are; iterating gives the dense
+    entries.
+
+    A curve of a built geometric presentation has a handful of nonzero
+    entries in a class of length 2e, e the built genus, so every step that
+    reads the support is O(support) instead of O(e)."""
+
+    __slots__ = ("dim", "support")
+
+    def __init__(self, dim: int, support: Iterable[Tuple[int, int]] = ()):
+        pairs = tuple(sorted((operator.index(j), operator.index(x)) for j, x in support))
+        pairs = tuple(p for p in pairs if p[1])
+        dim = operator.index(dim)
+        if any(not 0 <= j < dim for j, _ in pairs) or len({j for j, _ in pairs}) != len(pairs):
+            raise DimensionMismatch(f"support {pairs} is not one entry per index below {dim}")
+        object.__setattr__(self, "dim", dim)
+        object.__setattr__(self, "support", pairs)
+
+    @classmethod
+    def from_dense(cls, entries: Sequence[int]) -> "HomologyClass":
+        """The class whose dense entries are `entries`."""
+        h = tuple(map(operator.index, entries))
+        return cls._trusted(len(h), tuple(zip(compress(range(len(h)), h), filter(None, h))))
+
+    @classmethod
+    def of_word(cls, word: Sequence[int], dim: int) -> "HomologyClass":
+        """The abelianization of a word in the generators 1..dim, signed
+        indices as in ``presentations``."""
+        acc: Dict[int, int] = {}
+        for x, k in Counter(word).items():
+            if not 1 <= abs(x) <= dim:
+                raise SchemaError(f"word letter {x} outside generators 1..{dim}")
+            acc[abs(x) - 1] = acc.get(abs(x) - 1, 0) + (k if x > 0 else -k)
+        return cls._trusted(dim, tuple(sorted((j, x) for j, x in acc.items() if x)))
+
+    @classmethod
+    def _trusted(cls, dim: int, support: Tuple[Tuple[int, int], ...]) -> "HomologyClass":
+        """A class from a support already sorted, nonzero and in range."""
+        h = object.__new__(cls)
+        object.__setattr__(h, "dim", dim)
+        object.__setattr__(h, "support", support)
+        return h
+
+    def __setattr__(self, name, value):
+        raise AttributeError("HomologyClass is immutable")
+
+    def __iter__(self):
+        dense = [0] * self.dim
+        for j, x in self.support:
+            dense[j] = x
+        return iter(dense)
+
+    def __bool__(self):
+        return bool(self.support)
+
+    def __eq__(self, other):
+        return (
+            isinstance(other, HomologyClass)
+            and self.dim == other.dim
+            and self.support == other.support
+        )
+
+    def __hash__(self):
+        return hash((self.dim, self.support))
+
+    def __repr__(self):
+        return f"HomologyClass({self.dim}, {self.support})"
+
+
 @dataclass(frozen=True)
 class Curve:
     """A simple closed curve datum: name, homology class, separating flag and
-    an optional fundamental-group word (signed generator indices)."""
+    an optional fundamental-group word (signed generator indices).  The class
+    may be given dense, as a sequence of ints; it is kept as a
+    HomologyClass."""
 
     name: str
-    homology: Tuple[int, ...]
+    homology: HomologyClass
     separating: bool = False
     word: Optional[Tuple[int, ...]] = None
 
     def __post_init__(self):
-        try:
-            h = tuple(map(operator.index, self.homology))
-        except TypeError as ex:
-            raise SchemaError(f"curve {self.name}: homology entry: {ex}") from None
-        object.__setattr__(self, "homology", h)
-        if self.separating != (not any(h)):
+        h = self.homology
+        if not isinstance(h, HomologyClass):
+            try:
+                h = HomologyClass.from_dense(h)
+            except TypeError as ex:
+                raise SchemaError(f"curve {self.name}: homology entry: {ex}") from None
+            object.__setattr__(self, "homology", h)
+        if self.separating != (not h.support):
             raise SchemaError(
                 f"curve {self.name}: separating flag must match a zero homology class"
             )
         if self.word is not None:
             w = free_reduce(self.word)
             object.__setattr__(self, "word", w)
-            ab = exponent_vector(w, len(h))
+            ab = HomologyClass.of_word(w, h.dim)
             if ab != h:
                 raise SchemaError(
-                    f"curve {self.name}: word abelianization {ab} != homology {self.homology}"
+                    f"curve {self.name}: word abelianization {tuple(ab)} != homology {tuple(h)}"
                 )
 
 

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import compress
 from typing import Dict, List, Sequence, Tuple
 
 from .errors import BudgetExceeded, DimensionMismatch, EmptyRelators, SchemaError
@@ -28,7 +27,7 @@ from .presentations import (
     exponent_vector,
     quotient_by_normal_closure,
 )
-from .surfaces import Curve, SurfaceData, intersection_pairing
+from .surfaces import Curve, HomologyClass, SurfaceData, intersection_pairing
 
 
 @dataclass(frozen=True)
@@ -43,9 +42,9 @@ class CurveSystem:
             raise SchemaError("duplicate curve names")
         n = 2 * self.surface.genus
         for c in self.curves:
-            if len(c.homology) != n:
+            if c.homology.dim != n:
                 raise DimensionMismatch(
-                    f"curve {c.name}: class length {len(c.homology)} != 2g = {n}"
+                    f"curve {c.name}: class length {c.homology.dim} != 2g = {n}"
                 )
         table: Dict[Tuple[str, str], int] = {}
         for a, b, k in self.intersections:
@@ -60,15 +59,17 @@ class CurveSystem:
                 raise SchemaError(f"conflicting counts for {key}")
             table[key] = k
         object.__setattr__(self, "_table", table)
-        by_name = {c.name: c.homology for c in self.curves}
         # <x, y> = sum of x_j y_(j+1) - x_(j+1) y_j over even j, taken over the
-        # support of x alone: the classes are dense, the supports short
-        support = {name: list(compress(range(n), h)) for name, h in by_name.items()}
+        # support of x, with y looked up by index
+        support = {c.name: c.homology.support for c in self.curves}
+        lookup: Dict[str, Dict[int, int]] = {}
         for (a, b), k in table.items():
             if a == b:
                 continue
-            x, y = by_name[a], by_name[b]
-            alg = sum(-x[j] * y[j ^ 1] if j & 1 else x[j] * y[j ^ 1] for j in support[a])
+            if b not in lookup:
+                lookup[b] = dict(support[b])
+            y = lookup[b]
+            alg = sum(-x * y.get(j ^ 1, 0) if j & 1 else x * y.get(j ^ 1, 0) for j, x in support[a])
             if k < abs(alg):
                 raise SchemaError(
                     f"count({a},{b}) = {k} below |algebraic| = {abs(alg)}"
@@ -332,20 +333,21 @@ def build_geometric_presentation(
         extra_a, extra_b = 2 * e - 1, 2 * e
         curve_words[0] = curve_words[0] + (extra_b,)
 
+    def unit(*gens: int) -> HomologyClass:
+        return HomologyClass(2 * e, [(x - 1, 1) for x in gens])
+
     curves: List[Curve] = []
     counts: List[Tuple[str, str, int]] = []
     names = []
     for ri, w in enumerate(curve_words):
-        cls = exponent_vector(w, 2 * e)
+        cls = HomologyClass.of_word(w, 2 * e)
         name = f"c~{ri}"
         names.append(name)
-        curves.append(Curve(name, cls, separating=not any(cls), word=w))
+        curves.append(Curve(name, cls, separating=not cls, word=w))
     for p, c in enumerate(crossings):
         na, nb = f"a{g + p + 1}", f"b{g + p + 1}"
-        ca = [0] * (2 * e); ca[a_gen(p) - 1] = 1
-        cb = [0] * (2 * e); cb[b_gen(p) - 1] = 1
-        curves.append(Curve(na, ca, word=(a_gen(p),)))
-        curves.append(Curve(nb, cb, word=(b_gen(p),)))
+        curves.append(Curve(na, unit(a_gen(p)), word=(a_gen(p),)))
+        curves.append(Curve(nb, unit(b_gen(p)), word=(b_gen(p),)))
         counts.append((na, nb, 1))
         r1, r2 = c.branch1[0], c.branch2[0]
         # branch1 carries a_p so its curve crosses b_p, and vice versa
@@ -353,12 +355,9 @@ def build_geometric_presentation(
         counts.append((names[r2], na, 1))
     if add_handle:
         na, nb, nc = f"a{e}", f"b{e}", f"c{e}"
-        ca = [0] * (2 * e); ca[extra_a - 1] = 1
-        cb = [0] * (2 * e); cb[extra_b - 1] = 1
-        cc = [0] * (2 * e); cc[extra_a - 1] = 1; cc[extra_b - 1] = 1
-        curves.append(Curve(na, ca, word=(extra_a,)))
-        curves.append(Curve(nb, cb, word=(extra_b,)))
-        curves.append(Curve(nc, cc, word=(extra_a, extra_b)))
+        curves.append(Curve(na, unit(extra_a), word=(extra_a,)))
+        curves.append(Curve(nb, unit(extra_b), word=(extra_b,)))
+        curves.append(Curve(nc, unit(extra_a, extra_b), word=(extra_a, extra_b)))
         counts += [
             (na, nb, 1), (na, nc, 1), (nb, nc, 1),
             (names[0], na, 1), (names[0], nc, 1),

@@ -8,11 +8,11 @@ Words are never simplified.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .errors import NotARelation, NotPositive
 from .exact import IntMatrix
-from .surfaces import Curve, pairing_row
+from .surfaces import Curve, HomologyClass
 
 
 @dataclass(frozen=True)
@@ -38,13 +38,10 @@ class TwistWord:
 
     def __post_init__(self):
         for l in self.letters:
-            if len(l.curve.homology) != 2 * self.genus:
+            if l.curve.homology.dim != 2 * self.genus:
                 raise NotARelation(
                     f"curve {l.curve.name} lives on a different surface"
                 )
-
-    def __len__(self):
-        return len(self.letters)
 
     def __mul__(self, other: "TwistWord") -> "TwistWord":
         if other.genus != self.genus:
@@ -55,27 +52,72 @@ class TwistWord:
         return sum(abs(l.exponent) for l in self.letters)
 
 
-def evaluate_homological(word: TwistWord) -> IntMatrix:
+class HomologicalValue:
+    """The value of a twist word on H1 = Z^dim: the identity except at the
+    rows in `rows`, each a dense list.  An untouched row is never built, so
+    a value costs O(dim) per row its word touches, and the dense matrix is
+    built only when it is asked for."""
+
+    __slots__ = ("dim", "rows")
+
+    def __init__(self, dim: int, rows: Dict[int, List[int]]):
+        self.dim = dim
+        self.rows = rows
+
+    def is_identity(self) -> bool:
+        return all(r[i] == 1 and r.count(0) == self.dim - 1 for i, r in self.rows.items())
+
+    @property
+    def entries(self) -> Tuple[Tuple[int, ...], ...]:
+        """The dense rows."""
+        n, rows = self.dim, self.rows
+        return tuple(
+            tuple(rows[i]) if i in rows else tuple(int(i == j) for j in range(n))
+            for i in range(n)
+        )
+
+    def matrix(self) -> IntMatrix:
+        return IntMatrix(self.entries)
+
+    def apply(self, c: HomologyClass) -> HomologyClass:
+        """The image of c: its own entries, each touched row's replaced by
+        that row's dot product with c."""
+        image = dict(c.support)
+        for i, r in self.rows.items():
+            image[i] = sum(r[j] * x for j, x in c.support)
+        return HomologyClass(self.dim, image.items())
+
+
+def evaluate_homological(word: TwistWord) -> HomologicalValue:
     """Product of the letters' transvection powers in reading order.
 
     By the Picard-Lefschetz formula T_c^e = I + e c c^T J (as <c, c> = 0),
     and phi T_c phi^-1 = T_{phi(c)}, so a letter, conjugated or not, is one
     rank-one update of the running product's rows: r <- r + e (r . c) c^T J.
+    An identity row e_i meets c in c_i, so a letter touches only the rows in
+    its class's support and the rows already touched.
     """
     n = 2 * word.genus
-    rows = [[int(i == j) for j in range(n)] for i in range(n)]
+    rows: Dict[int, List[int]] = {}
     for l in word.letters:
         c = l.curve.homology
         if l.conjugator is not None:
             c = evaluate_homological(l.conjugator).apply(c)
-        support = [(i, x) for i, x in enumerate(c) if x]
-        u = [(k, l.exponent * x) for k, x in enumerate(pairing_row(c)) if x]
-        for r in rows:
+        support = c.support
+        # e c^T J: the row c^T J (``pairing_row``) holds, 0-based, -c_j at
+        # j - 1 for odd j and c_j at j + 1 for even j
+        e = l.exponent
+        u = [(j ^ 1, -e * x if j & 1 else e * x) for j, x in support]
+        for i, _ in support:
+            if i not in rows:
+                rows[i] = [0] * n
+                rows[i][i] = 1
+        for r in rows.values():
             s = sum(r[i] * x for i, x in support)
             if s:
                 for k, x in u:
                     r[k] += s * x
-    return IntMatrix(rows)
+    return HomologicalValue(n, rows)
 
 
 def is_positive(word: TwistWord) -> bool:

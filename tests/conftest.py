@@ -7,7 +7,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import pytest
 
 from twistlab.errors import InvalidElement, NotARelation, NotPositive, SchemaError
-from twistlab.exact import IntMatrix
+from twistlab.exact import IntMatrix, _bareiss
 from twistlab.invariants import Factorization
 from twistlab.metaplectic import (
     A_MATRIX,
@@ -154,6 +154,22 @@ def meta_word_oracle(word) -> MetaElement:
             m = multiply(multiply(c, m), meta_inverse(c))
         acc = multiply(acc, m)
     return acc
+
+
+def det(a: IntMatrix) -> int:
+    """Determinant by fraction-free (Bareiss) elimination: the reference
+    route that Smith forms are checked against (|det U| = |det V| = 1, and
+    |det A| is the product of the diagonal)."""
+    if a.rows != a.cols:
+        raise ValueError("square matrix required")
+    rank, sign, pivot = _bareiss(a)
+    return sign * pivot if rank == a.rows else 0
+
+
+def sparse_rows(entries: Sequence[Sequence[int]]) -> List[Dict[int, int]]:
+    """Each row as {column: entry} of its nonzero entries, the input of
+    ``smith_diagonal``."""
+    return [{j: x for j, x in enumerate(r) if x} for r in entries]
 
 
 def matmul_oracle(a: IntMatrix, b: IntMatrix) -> IntMatrix:
@@ -400,7 +416,7 @@ def invert_from_positive_relation(rel: TwistWord, i: int) -> TwistWord:
 def conjugate_adjacent(a: Curve, b: Curve, genus: int) -> TwistWord:
     """Conjugator phi = t_a t_b with eval(phi) T_a eval(phi)^-1 = T_b,
     available whenever |<a, b>| = 1 (the homological adjacency proxy)."""
-    if abs(intersection_pairing(a.homology, b.homology)) != 1:
+    if abs(intersection_pairing(tuple(a.homology), tuple(b.homology))) != 1:
         raise ValueError(f"|<{a.name},{b.name}>| != 1")
     return TwistWord(genus, (TwistLetter(a), TwistLetter(b)))
 

@@ -3,7 +3,7 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import matmul_oracle
+from conftest import det, matmul_oracle, sparse_rows
 from twistlab.errors import DimensionMismatch, SchemaError
 from twistlab.exact import (
     F2Matrix,
@@ -13,7 +13,6 @@ from twistlab.exact import (
     smith_diagonal,
     smith_normal_form,
     solve_f2,
-    sparse_rows,
 )
 from twistlab.metaplectic import LagrangianLine, MetaElement
 from twistlab.presentations import SurfaceGroup, free_reduce, reidemeister_schreier_double_cover
@@ -67,7 +66,7 @@ class TestSmithNormalForm:
         a = IntMatrix([[2, 4], [6, 8]])
         snf = smith_normal_form(a)
         assert snf.diagonal == (2, 4)
-        assert abs(a.det()) == 8
+        assert abs(det(a)) == 8
 
     def test_transforms_reconstruct(self):
         a = IntMatrix([[2, 4], [6, 8]])
@@ -94,7 +93,7 @@ class TestSmithNormalForm:
         snf = smith_normal_form(a)
         assert snf.left * a * snf.right == diag_matrix(snf, (6, 6))
         assert snf.diagonal == (1, 1, 1, 1, 1, 1452849934)
-        assert abs(a.det()) == 1452849934
+        assert abs(det(a)) == 1452849934
 
 
 # mostly zeros, as in the transforms covers multiply, with some big entries
@@ -140,8 +139,8 @@ def test_snf_round_trip(entries):
         assert d2 % d1 == 0
     assert all(d > 0 for d in snf.diagonal)
     # transforms are unimodular
-    assert abs(snf.left.det()) == 1
-    assert abs(snf.right.det()) == 1
+    assert abs(det(snf.left)) == 1
+    assert abs(det(snf.right)) == 1
 
 
 @settings(max_examples=120, deadline=None)
@@ -161,7 +160,7 @@ def test_det_agrees_with_snf(entries):
     product = 1
     for d in snf.diagonal:
         product *= d
-    assert abs(a.det()) == (product if snf.rank == a.rows else 0)
+    assert abs(det(a)) == (product if snf.rank == a.rows else 0)
 
 
 class TestSmithDiagonal:
@@ -198,8 +197,19 @@ sparse_matrices = st.integers(min_value=0, max_value=9).flatmap(
 )
 
 
+# a curve system's shape: rows that are one entry (the handle curves), at
+# times two on one column or a non-unit, above a few long rows (the relator
+# curves) through their columns
+handle_matrices = st.integers(min_value=1, max_value=8).flatmap(
+    lambda c: st.tuples(
+        st.lists(st.tuples(st.integers(0, c - 1), st.sampled_from((1, -1, 2))), max_size=10),
+        st.lists(st.lists(st.sampled_from((0, 1, -1, 2, -3)), min_size=c, max_size=c), max_size=3),
+    ).map(lambda t: [[x if j == k else 0 for j in range(c)] for k, x in t[0]] + t[1])
+)
+
+
 @settings(max_examples=300, deadline=None)
-@given(st.one_of(sparse_matrices, small_matrices))
+@given(st.one_of(sparse_matrices, small_matrices, handle_matrices))
 def test_smith_diagonal_agrees_with_snf(entries):
     a = IntMatrix(entries)
     assert smith_diagonal(sparse_rows(entries)) == smith_normal_form(a).diagonal
@@ -215,18 +225,18 @@ class TestRank:
 
     def test_empty(self):
         assert rank_over_rationals(IntMatrix([])) == 0
-        assert IntMatrix([]).det() == 1
+        assert det(IntMatrix([])) == 1
 
     def test_skipped_column(self):
         # the second column vanishes below the first pivot, so elimination
         # skips it and the third column gives the second pivot
         a = IntMatrix([[2, 4, 1], [4, 8, 5], [6, 12, 9]])
         assert rank_over_rationals(a) == 2
-        assert a.det() == 0
+        assert det(a) == 0
 
     def test_det_sign_of_row_swap(self):
-        assert IntMatrix([[0, 1], [1, 0]]).det() == -1
-        assert IntMatrix([[0, 2, 0], [0, 0, 3], [5, 0, 0]]).det() == 30
+        assert det(IntMatrix([[0, 1], [1, 0]])) == -1
+        assert det(IntMatrix([[0, 2, 0], [0, 0, 3], [5, 0, 0]])) == 30
 
 
 # products of elementary matrices: unimodular by construction

@@ -7,7 +7,8 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from twistlab.cli import _emit, main
+from conftest import CURVE_A
+from twistlab.cli import _emit, _json_pieces, main
 from twistlab.errors import BudgetExceeded, SchemaError
 from twistlab.invariants import Factorization
 from twistlab.schema import (
@@ -24,8 +25,9 @@ from twistlab.schema import (
     presentation_from_dict,
     presentation_to_dict,
 )
-from twistlab.surfaces import Curve, SurfaceData
+from twistlab.surfaces import Curve, HomologyClass, SurfaceData
 from twistlab.systems import CurveSystem
+from twistlab.words import TwistLetter, TwistWord
 
 
 class TestRoundTrips:
@@ -90,8 +92,10 @@ class TestRoundTrips:
             (Curve("a", (1, 0), word=(1,)), Curve("b", (0, 1))),
             (("a", "b", 1),),
         )
-        d = curve_system_to_dict(s)
-        s2 = curve_system_from_dict(json.loads(json.dumps(d)))
+        # the dict holds HomologyClass objects, which the CLI's writer prints
+        # as dense lists
+        text = "".join(_json_pieces(curve_system_to_dict(s), "\n"))
+        s2 = curve_system_from_dict(json.loads(text))
         assert s2.curves == s.curves
         assert s2.intersections == s.intersections
 
@@ -187,6 +191,35 @@ class TestCli:
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(data))
         assert main(["verify", str(bad)]) == 2
+
+    def test_verify_prints_the_dense_residual(self, tmp_path, capsys):
+        # E1 with one more t_a at genus 1 leaves A; at genus 3 the word's
+        # value is the identity outside the rows it touched
+        for genus, residual in ((1, [[1, 1], [0, 1]]), (3, None)):
+            data = json.load(open(fixture_path("E1")))
+            data["fiber_genus"] = genus
+            for c in data["curves"]:
+                c["homology"] += [0] * (2 * genus - 2)
+            data["word"].append({"curve": "a"})
+            path = tmp_path / "tampered.json"
+            path.write_text(json.dumps(data))
+            assert main(["verify", str(path), "--json"]) == 2
+            out = json.loads(capsys.readouterr().out)
+            if residual is None:
+                residual = [[int(i == j) for j in range(6)] for i in range(6)]
+                residual[0][1] = 1
+            assert out["residual"] == residual
+
+    @pytest.mark.parametrize("command", ["verify", "invariants"])
+    def test_empty_word_at_the_genus_budget(self, tmp_path, capsys, command):
+        # the word's value is the identity plus the rows it touched: none
+        path = tmp_path / "empty.json"
+        path.write_text(json.dumps({"fiber_genus": MAX_GENUS, "base_genus": 0, "curves": [], "word": []}))
+        start = time.perf_counter()
+        assert main([command, str(path), "--json"]) == 0
+        assert time.perf_counter() - start < 0.25
+        out = json.loads(capsys.readouterr().out)
+        assert out["relation_verified_homologically"] is True
 
     def test_verify_malformed_json(self, tmp_path):
         bad = tmp_path / "broken.json"
@@ -331,9 +364,9 @@ class TestOneEvaluation:
         original = meta.evaluate_meta_word
         calls = []
 
-        def counted(word):
+        def counted(word, *rest):
             calls.append(word)
-            return original(word)
+            return original(word, *rest)
 
         for mod in list(sys.modules.values()):
             if getattr(mod, "__name__", "").startswith("twistlab"):
@@ -377,15 +410,36 @@ class TestOneEvaluation:
         assert main(["invariants", fixture_path("E1"), "--json"]) == 1
         assert "maslov cross-check failed" in capsys.readouterr().err
 
-    def test_homological_cross_check_runs(self, monkeypatch, capsys):
-        # a matrix off by one factor of A has no lift with the word's
-        # exponent sum
-        import twistlab.metaplectic as meta
-        from twistlab.exact import IntMatrix
+    def test_invariants_takes_one_homological_product(self, monkeypatch, capsys):
+        # the relation check and the genus-1 lift read the same product
+        import twistlab.words as words
 
-        original = meta.evaluate_homological
-        off = IntMatrix(meta.A_MATRIX)
-        monkeypatch.setattr(meta, "evaluate_homological", lambda word: original(word) * off)
+        original = words.evaluate_homological
+        calls = []
+
+        def counted(word):
+            calls.append(word)
+            return original(word)
+
+        for mod in list(sys.modules.values()):
+            if getattr(mod, "__name__", "").startswith("twistlab"):
+                if getattr(mod, "evaluate_homological", None) is original:
+                    monkeypatch.setattr(mod, "evaluate_homological", counted)
+        assert main(["invariants", fixture_path("E1"), "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["szpiro"]["n"] == 1
+        assert len(calls) == 1
+
+    def test_homological_cross_check_runs(self, monkeypatch, capsys):
+        # the command's one homological product, off by a factor of A, fails
+        # the relation and has no lift with the word's exponent sum
+        import twistlab.invariants as inv
+
+        original = inv.evaluate_homological
+
+        def off(word):
+            return original(TwistWord(word.genus, word.letters + (TwistLetter(CURVE_A),)))
+
+        monkeypatch.setattr(inv, "evaluate_homological", off)
         assert main(["invariants", fixture_path("E1"), "--json"]) == 1
         assert "homological cross-check failed" in capsys.readouterr().err
 
@@ -637,14 +691,42 @@ class TestOneSmithForm:
         assert all(rows <= 2 * 2 + len(relators) for rows, _ in calls), calls
 
 
+# homology classes as the geompres writer receives them: leading and
+# trailing zeros, the zero class, negative, multi-digit and big coefficients
+homology_classes = st.lists(
+    st.sampled_from((0, 0, 0, 0, 1, -1, 12, -7)) | st.integers(-10**40, 10**40), max_size=24
+).map(HomologyClass.from_dense)
+
+
+def densify(v):
+    """The payload with each HomologyClass as its dense list."""
+    if isinstance(v, HomologyClass):
+        return list(v)
+    if isinstance(v, dict):
+        return {k: densify(x) for k, x in v.items()}
+    if isinstance(v, (list, tuple)):
+        return [densify(x) for x in v]
+    return v
+
+
+@settings(max_examples=100, deadline=None)
+@given(homology_classes, st.integers(0, 3))
+def test_class_text_matches_stdlib_json(h, depth):
+    indent = "\n" + " " * depth
+    expected = json.dumps(list(h), indent=1).replace("\n", indent)
+    assert "".join(_json_pieces(h, indent)) == expected
+
+
 # JSON values as the commands build them, and more: nested str-keyed dicts,
-# lists and tuples, empty containers, int lists (the writer's joined case)
-# and ints beside bools, None, strings with escapes and non-ASCII, and a
-# Fraction, which is not JSON and takes default=str
+# lists and tuples, empty containers, int lists and other lists of scalars
+# (the writer's joined cases) and ints beside bools, None, strings with
+# escapes and non-ASCII, and a Fraction, which is not JSON and takes
+# default=str; and homology classes, written as dense lists
 json_values = st.recursive(
     st.one_of(
         st.none(), st.booleans(), st.integers(), st.text(), st.fractions(),
         st.lists(st.integers()), st.lists(st.one_of(st.integers(), st.booleans())),
+        homology_classes,
     ),
     lambda inner: st.one_of(
         st.lists(inner), st.lists(inner).map(tuple), st.dictionaries(st.text(), inner)
@@ -659,4 +741,4 @@ def test_emit_matches_stdlib_json(payload):
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         _emit(payload, True)
-    assert out.getvalue() == json.dumps(payload, indent=1, default=str) + "\n"
+    assert out.getvalue() == json.dumps(densify(payload), indent=1, default=str) + "\n"

@@ -1,11 +1,14 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from twistlab.errors import SchemaError
+from twistlab.errors import DimensionMismatch, SchemaError
 from twistlab.exact import IntMatrix
+from twistlab.schema import curve_system_from_dict
 from twistlab.surfaces import (
     Curve,
+    HomologyClass,
     SurfaceData,
     intersection_pairing,
     is_symplectic,
@@ -39,7 +42,50 @@ class TestCurve:
             Curve("c7", (entry, 0))
 
     def test_integer_likes_become_plain_ints(self):
-        assert type(Curve("t", (True, 0)).homology[0]) is int
+        assert Curve("t", (True, 0)).homology.support == ((0, 1),)
+        assert type(Curve("t", (True, 0)).homology.support[0][1]) is int
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.tuples(*[st.integers(-3, 3) | st.integers(-10**30, 10**30)] * 2), max_size=6))
+    def test_dense_and_support_give_one_curve(self, handles):
+        dense = [x for pair in handles for x in pair]
+        support = [(j, x) for j, x in enumerate(dense) if x]
+        random.Random(len(dense)).shuffle(support)  # any order of the pairs
+        word = None
+        if all(abs(x) <= 3 for x in dense):  # a word abelianizing to the class
+            word = tuple(j + 1 if x > 0 else -(j + 1) for j, x in enumerate(dense) for _ in range(abs(x)))
+        sep = not any(dense)
+        from_dense = Curve("c", dense, sep, word)
+        from_support = Curve("c", HomologyClass(len(dense), support), sep, word)
+        assert from_dense == from_support
+        assert hash(from_dense) == hash(from_support)
+        assert list(from_dense.homology) == dense
+        assert from_dense.homology.dim == len(dense)
+
+    def test_support_built_class_is_checked(self):
+        one = HomologyClass(4, [(2, 1)])
+        with pytest.raises(SchemaError, match="separating flag"):
+            Curve("bad", one, separating=True)
+        with pytest.raises(SchemaError, match="separating flag"):
+            Curve("bad", HomologyClass(4), separating=False)
+        with pytest.raises(SchemaError, match="word abelianization"):
+            Curve("bad", one, word=(4,))
+        with pytest.raises(SchemaError, match="outside generators"):
+            Curve("bad", one, word=(5,))
+        Curve("a2", one, word=(3, 4, -4))
+        with pytest.raises(DimensionMismatch):
+            HomologyClass(4, [(4, 1)])
+        with pytest.raises(DimensionMismatch):
+            HomologyClass(4, [(1, 1), (1, 2)])
+        with pytest.raises(TypeError):
+            HomologyClass(4, [(1, 1.5)])
+        # zero coefficients are not support
+        assert HomologyClass(4, [(1, 0)]) == HomologyClass(4)
+
+    @pytest.mark.parametrize("entry", [True, False, 1.0, 1.5])
+    def test_file_entries_must_be_ints(self, entry):
+        with pytest.raises(SchemaError, match="homology must be a list"):
+            curve_system_from_dict({"genus": 1, "curves": [{"name": "a", "homology": [entry, 0]}]})
 
 
 class TestPairing:
